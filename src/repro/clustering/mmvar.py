@@ -8,7 +8,9 @@ its compactness criterion is the centroid's variance
 
 with ``Phi_j = sum_o mu2_j(o)`` and ``S_j = sum_o mu_j(o)`` — so, like
 UCPC, MMVar admits O(m) add/remove objective updates and runs the same
-local-search relocation scheme at O(I·k·n·m).
+local-search relocation scheme at O(I·k·n·m): the shared kernel
+:func:`repro.clustering._relocation.relocate`, with MMVar's per-cluster
+criterion :data:`~repro.clustering._relocation.MMVAR_OBJECTIVE`.
 
 Proposition 2 of the paper proves ``J_MM(C) = J_UK(C)/|C|``: the
 *per-cluster* criteria differ only by the cardinality factor.  The summed
@@ -18,69 +20,18 @@ produce different partitions — which the experiments confirm.
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
-
-from repro._typing import IntArray, SeedLike
+from repro._typing import SeedLike
+from repro.clustering._relocation import MMVAR_OBJECTIVE, relocate
 from repro.clustering.base import (
     ClusteringResult,
     UncertainClusterer,
     validate_n_clusters,
 )
 from repro.clustering.initialization import random_partition
-from repro.exceptions import ConvergenceWarning, InvalidParameterError
+from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
-
-
-class _MixtureStats:
-    """Per-cluster Phi/S sufficient statistics for the MMVar objective."""
-
-    __slots__ = ("phi", "mu_sum", "counts")
-
-    def __init__(self, dataset: UncertainDataset, assignment: IntArray, k: int):
-        self.phi = np.zeros((k, dataset.dim))
-        self.mu_sum = np.zeros((k, dataset.dim))
-        self.counts = np.zeros(k, dtype=np.int64)
-        np.add.at(self.phi, assignment, dataset.mu2_matrix)
-        np.add.at(self.mu_sum, assignment, dataset.mu_matrix)
-        np.add.at(self.counts, assignment, 1)
-
-    def objectives(self) -> np.ndarray:
-        """``J_MM(C_c)`` for every cluster (0 when empty)."""
-        safe = np.maximum(self.counts, 1).astype(np.float64)
-        per = self.phi.sum(axis=1) / safe - np.einsum(
-            "cj,cj->c", self.mu_sum, self.mu_sum
-        ) / (safe * safe)
-        return np.where(self.counts > 0, np.maximum(per, 0.0), 0.0)
-
-    def objective_with(self, mu2: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """``J_MM(C_c ∪ {o})`` for every cluster at once."""
-        counts = (self.counts + 1).astype(np.float64)
-        phi = self.phi.sum(axis=1) + mu2.sum()
-        mu_sum = self.mu_sum + mu
-        ups = np.einsum("cj,cj->c", mu_sum, mu_sum)
-        return np.maximum(phi / counts - ups / (counts * counts), 0.0)
-
-    def objective_without(self, cluster: int, mu2: np.ndarray, mu: np.ndarray) -> float:
-        """``J_MM(C_c \\ {o})`` for the object's own cluster."""
-        count = int(self.counts[cluster]) - 1
-        if count <= 0:
-            return 0.0
-        phi = float(self.phi[cluster].sum() - mu2.sum())
-        mu_sum = self.mu_sum[cluster] - mu
-        return max(phi / count - float(mu_sum @ mu_sum) / (count * count), 0.0)
-
-    def move(self, source: int, target: int, mu2: np.ndarray, mu: np.ndarray) -> None:
-        """Relocate one object's contribution; O(m)."""
-        self.phi[source] -= mu2
-        self.mu_sum[source] -= mu
-        self.counts[source] -= 1
-        self.phi[target] += mu2
-        self.mu_sum[target] += mu
-        self.counts[target] += 1
 
 
 class MMVar(UncertainClusterer):
@@ -97,6 +48,9 @@ class MMVar(UncertainClusterer):
     """
 
     name = "MMV"
+    #: Same interpreter-bound relocation sweep as UCPC — the auto backend
+    #: routes MMVar to the process pool.
+    preferred_backend = "processes"
 
     def __init__(
         self,
@@ -106,6 +60,10 @@ class MMVar(UncertainClusterer):
     ):
         if max_iter < 1:
             raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
+        if min_improvement < 0:
+            raise InvalidParameterError(
+                f"min_improvement must be >= 0, got {min_improvement}"
+            )
         self.n_clusters = int(n_clusters)
         self.max_iter = int(max_iter)
         self.min_improvement = float(min_improvement)
@@ -117,82 +75,20 @@ class MMVar(UncertainClusterer):
         rng = ensure_rng(seed)
         assignment = random_partition(n, k, rng)
 
-        mu2 = dataset.mu2_matrix
-        mu = dataset.mu_matrix
         watch = Stopwatch()
-        history = []
-        iterations = 0
-        converged = False
         with watch.running():
-            # Cached scalar statistics (same scheme as UCPC's inner loop):
-            # J_MM(c) = phi_tot/n_c - ||S_c||^2/n_c^2 per Lemma 2.
-            mu2_tot = mu2.sum(axis=1)
-            mu_norm_sq = np.einsum("ij,ij->i", mu, mu)
-            counts = np.bincount(assignment, minlength=k).astype(np.float64)
-            phi_tot = np.zeros(k)
-            mean_sums = np.zeros((k, dataset.dim))
-            np.add.at(phi_tot, assignment, mu2_tot)
-            np.add.at(mean_sums, assignment, mu)
-            ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
-
-            def objectives_vector() -> np.ndarray:
-                safe = np.maximum(counts, 1.0)
-                per = phi_tot / safe - ups / (safe * safe)
-                return np.where(counts > 0, np.maximum(per, 0.0), 0.0)
-
-            objectives = objectives_vector()
-            history.append(float(objectives.sum()))
-            for _ in range(self.max_iter):
-                iterations += 1
-                moved = 0
-                threshold = -self.min_improvement * max(1.0, abs(history[-1]))
-                # Random scan order per sweep (same policy as UCPC).
-                for idx in rng.permutation(n):
-                    idx = int(idx)
-                    own = int(assignment[idx])
-                    if counts[own] <= 1.0:
-                        continue
-                    p = mu2_tot[idx]
-                    cross = mean_sums @ mu[idx]
-                    counts_plus = counts + 1.0
-                    j_with = (phi_tot + p) / counts_plus - (
-                        ups + 2.0 * cross + mu_norm_sq[idx]
-                    ) / (counts_plus * counts_plus)
-                    n_minus = counts[own] - 1.0
-                    if n_minus == 0.0:
-                        j_without = 0.0
-                    else:
-                        j_without = (phi_tot[own] - p) / n_minus - (
-                            ups[own] - 2.0 * cross[own] + mu_norm_sq[idx]
-                        ) / (n_minus * n_minus)
-                    delta = (j_without - objectives[own]) + (j_with - objectives)
-                    delta[own] = 0.0
-                    best = int(np.argmin(delta))
-                    if best != own and delta[best] < threshold:
-                        counts[own] -= 1.0
-                        counts[best] += 1.0
-                        phi_tot[own] -= p
-                        phi_tot[best] += p
-                        mean_sums[own] -= mu[idx]
-                        mean_sums[best] += mu[idx]
-                        ups[own] = ups[own] - 2.0 * cross[own] + mu_norm_sq[idx]
-                        ups[best] = ups[best] + 2.0 * cross[best] + mu_norm_sq[idx]
-                        objectives[own] = max(j_without, 0.0)
-                        objectives[best] = max(float(j_with[best]), 0.0)
-                        assignment[idx] = best
-                        moved += 1
-                # Refresh exact sums once per sweep to cap round-off drift.
-                ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
-                objectives = objectives_vector()
-                history.append(float(objectives.sum()))
-                if moved == 0:
-                    converged = True
-                    break
+            assignment, history, iterations, converged = relocate(
+                dataset,
+                assignment,
+                k,
+                rng,
+                MMVAR_OBJECTIVE,
+                self.max_iter,
+                self.min_improvement,
+            )
         if not converged:
-            warnings.warn(
-                f"MMVar hit max_iter={self.max_iter} before convergence",
-                ConvergenceWarning,
-                stacklevel=2,
+            warn_convergence(
+                f"MMVar hit max_iter={self.max_iter} before convergence"
             )
         return ClusteringResult(
             labels=assignment,

@@ -22,8 +22,6 @@ One further variant probes the algorithmic (not objective) choice:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro._typing import SeedLike
@@ -34,7 +32,7 @@ from repro.clustering.base import (
 )
 from repro.clustering.cluster_stats import ClusterStatsMatrix
 from repro.clustering.initialization import random_partition
-from repro.exceptions import ConvergenceWarning, InvalidParameterError
+from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Stopwatch
@@ -115,10 +113,8 @@ class VarianceOnlyClustering(UncertainClusterer):
                     converged = True
                     break
         if not converged:
-            warnings.warn(
-                f"VarianceOnly hit max_iter={self.max_iter} before convergence",
-                ConvergenceWarning,
-                stacklevel=2,
+            warn_convergence(
+                f"VarianceOnly hit max_iter={self.max_iter} before convergence"
             )
         return ClusteringResult(
             labels=assignment,
@@ -191,10 +187,8 @@ class UCPCLloyd(UncertainClusterer):
             final = ClusterStatsMatrix.from_assignment(dataset, assignment, k)
             history.append(final.total_objective())
         if not converged:
-            warnings.warn(
-                f"UCPC-Lloyd hit max_iter={self.max_iter} before convergence",
-                ConvergenceWarning,
-                stacklevel=2,
+            warn_convergence(
+                f"UCPC-Lloyd hit max_iter={self.max_iter} before convergence"
             )
         return ClusteringResult(
             labels=assignment,

@@ -14,7 +14,6 @@ the centroid-based algorithms.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -29,7 +28,7 @@ from repro.clustering.initialization import (
     kmeanspp_seed_indices,
     random_seed_indices,
 )
-from repro.exceptions import ConvergenceWarning, InvalidParameterError
+from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 from repro.objects.distance import (
     pairwise_squared_expected_distances,
@@ -179,10 +178,8 @@ class UKMedoids(UncertainClusterer):
                 medoids = new_medoids
                 assignment = new_assignment
         if not converged:
-            warnings.warn(
-                f"UK-medoids hit max_iter={self.max_iter} before convergence",
-                ConvergenceWarning,
-                stacklevel=2,
+            warn_convergence(
+                f"UK-medoids hit max_iter={self.max_iter} before convergence"
             )
         objective = float(
             distances[np.arange(n), medoids[assignment]].sum()

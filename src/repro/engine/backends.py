@@ -693,8 +693,8 @@ class AutoBackend(ExecutionBackend):
     * ``n * m <= AUTO_SERIAL_ELEMENTS`` → **serial** (pool overhead
       dominates sub-ms fits);
     * otherwise the clusterer's declared ``preferred_backend`` family —
-      ``threads`` (the default) or ``processes`` (UCPC, UK-medoids,
-      UAHC).
+      ``threads`` (the default) or ``processes`` (UCPC, MMVar,
+      UK-medoids, UAHC).
 
     Every candidate backend is result-identical for fixed seeds, so the
     dispatch only ever changes wall-clock time; the backend-invariance

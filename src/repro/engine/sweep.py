@@ -79,7 +79,6 @@ from repro.datagen.uncertainty_gen import PDF_FAMILIES
 from repro.engine.backends import shared_block_registry
 from repro.engine.store import (
     SWEEP_SCHEMA_VERSION,
-    JsonStore,
     ResultStore,
     cell_id,
     open_store,
@@ -290,15 +289,6 @@ def paper_grid(
             base_size=figure5_base_size,
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Result store
-# ----------------------------------------------------------------------
-#: Backward-compatible name for the original directory-backed store;
-#: the store layer now lives in :mod:`repro.engine.store` behind the
-#: pluggable :class:`~repro.engine.store.ResultStore` API.
-SweepStore = JsonStore
 
 
 # ----------------------------------------------------------------------

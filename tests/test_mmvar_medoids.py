@@ -54,6 +54,8 @@ class TestMMVar:
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             MMVar(n_clusters=2, max_iter=0)
+        with pytest.raises(InvalidParameterError):
+            MMVar(n_clusters=2, min_improvement=-1.0)
 
 
 class TestUKMedoids:

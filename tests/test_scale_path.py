@@ -26,10 +26,15 @@ import pytest
 from repro.clustering import (
     FDBSCAN,
     FOPTICS,
+    UCPC,
     BasicUKMeans,
     BoundedUKMeans,
     MiniBatchUKMeans,
+    MMVar,
+    UCPCLloyd,
     UKMeans,
+    UKMedoids,
+    VarianceOnlyClustering,
 )
 from repro.clustering._density import (
     eps_candidate_pairs,
@@ -347,17 +352,29 @@ class TestDensityHelpers:
         assert rows == [[3], [2], [1, 4], [0], [2]]
 
 
+#: One iteration is too few for any of these to converge on overlap_data.
+ONE_SWEEP = {
+    "BasicUKMeans": lambda: BasicUKMeans(n_clusters=4, n_samples=8, max_iter=1),
+    "UCPC": lambda: UCPC(n_clusters=4, max_iter=1),
+    "MMVar": lambda: MMVar(n_clusters=4, max_iter=1),
+    "UKMedoids": lambda: UKMedoids(n_clusters=4, max_iter=1),
+    "VarianceOnly": lambda: VarianceOnlyClustering(n_clusters=4, max_iter=1),
+    "UCPCLloyd": lambda: UCPCLloyd(n_clusters=4, max_iter=1),
+}
+
+
 class TestConvergenceWarningSemantics:
     """warn_convergence fires once per *fit*, not once per process."""
 
     def _unconverging_fit(self, data):
         BasicUKMeans(n_clusters=4, n_samples=8, max_iter=1).fit(data, seed=0)
 
-    def test_warns_on_every_fit(self, overlap_data):
+    @pytest.mark.parametrize("name", sorted(ONE_SWEEP))
+    def test_warns_on_every_fit(self, overlap_data, name):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            self._unconverging_fit(overlap_data)
-            self._unconverging_fit(overlap_data)
+            for _ in range(2):
+                assert not ONE_SWEEP[name]().fit(overlap_data, seed=0).converged
         messages = [
             w for w in caught if issubclass(w.category, ConvergenceWarning)
         ]
