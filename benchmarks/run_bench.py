@@ -31,7 +31,9 @@ The measurement roster mirrors ``benchmarks/bench_engine.py``:
 * the million-object scale path at n=20_000 (S=32, m=8, k=20):
   Elkan-bounded UK-means vs the full BasicUKMeans Lloyd pass (same
   seeds, bit-identical labels — the record carries the measured
-  speedup and ED skip rate) plus the lossy mini-batch UK-means fit.
+  speedup and ED skip rate) plus the lossy mini-batch UK-means fit;
+* the columnar uncertainty generator (Section 5.1) at the Figure 5
+  shape (n=2000, m=42), one row per pdf family.
 
 Timings are best-of-``repeats`` wall clock; the JSON also records the
 machine shape (cores, python, numpy) so numbers are comparable only
@@ -59,7 +61,8 @@ except ImportError:  # pragma: no cover - direct invocation convenience
 import numpy as np
 
 from repro.clustering import FDBSCAN, UAHC, UKMeans, BasicUKMeans, UKMedoids
-from repro.datagen import make_blobs_uncertain
+from repro.datagen import PDF_FAMILIES, UncertaintyGenerator, make_blobs_uncertain
+from repro.datagen.benchmarks import make_classification_like
 from repro.engine import MultiRestartRunner
 from repro.engine.store import SWEEP_SCHEMA_VERSION, ResultStore, open_store
 from repro.exceptions import ConvergenceWarning
@@ -67,7 +70,7 @@ from repro.objects import UncertainDataset, UncertainObject
 from repro.utils.rng import ensure_rng
 
 #: Bumped whenever a measurement's name or meaning changes.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: The fixed measurement roster.  ``run_benchmarks`` must emit exactly
 #: these names; the overwrite guard in :func:`main` compares an existing
@@ -92,6 +95,9 @@ MEASUREMENT_NAMES = (
     "bounded_ukmeans_elkan",
     "bounded_ukmeans_basic_reference",
     "minibatch_ukmeans_fit",
+    "uncertainty_generate_uniform",
+    "uncertainty_generate_normal",
+    "uncertainty_generate_exponential",
 )
 
 
@@ -495,6 +501,23 @@ def run_benchmarks(quick: bool = False) -> List[Dict[str, object]]:
         m=8,
         k=bound_k,
     )
+
+    # --- uncertainty generation (Section 5.1) -------------------------
+    n_gen = int(2000 * scale)
+    gen_points, gen_labels = make_classification_like(
+        n_objects=n_gen, n_attributes=42, n_classes=23, seed=0
+    )
+    for family in PDF_FAMILIES:
+        generator = UncertaintyGenerator(family)
+        record(
+            f"uncertainty_generate_{family}",
+            _best_of(
+                lambda g=generator: g.generate(gen_points, gen_labels, seed=0),
+                repeats,
+            ),
+            n=n_gen,
+            m=42,
+        )
 
     # --- hierarchical ------------------------------------------------
     n_uahc = int(300 * scale)

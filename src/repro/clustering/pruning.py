@@ -85,8 +85,8 @@ class _PruningUKMeansBase(SampleCacheMixin, UncertainClusterer):
         # Off-line phase (untimed, as in the paper): samples and boxes.
         samples = self._draw_samples(dataset, rng)
         sample_means = samples.mean(axis=1)
-        boxes_lower = np.vstack([obj.region.lower for obj in dataset])
-        boxes_upper = np.vstack([obj.region.upper for obj in dataset])
+        boxes_lower = dataset.support_lower
+        boxes_upper = dataset.support_upper
 
         seeds = random_seed_indices(n, k, rng)
         centers = sample_means[seeds].copy()

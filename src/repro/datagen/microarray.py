@@ -33,7 +33,7 @@ import numpy as np
 from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
-from repro.objects.uncertain_object import UncertainObject
+from repro.uncertainty.columns import TruncatedNormalColumns
 from repro.utils.rng import ensure_rng
 
 
@@ -160,11 +160,5 @@ def make_probe_level_dataset(
         1.0 + np.exp(expression - base_level)
     )
 
-    objects = []
-    for g in range(n_genes):
-        objects.append(
-            UncertainObject.gaussian(
-                expression[g], probe_std[g], mass=mass, label=int(modules[g])
-            )
-        )
-    return UncertainDataset(objects)
+    columns = TruncatedNormalColumns.central_mass(expression, probe_std, mass)
+    return UncertainDataset._from_columns(columns, modules)

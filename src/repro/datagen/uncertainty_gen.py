@@ -22,22 +22,22 @@ Both datasets derive from the *same* per-point pdfs, which is what makes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro._typing import SeedLike
 from repro.exceptions import InvalidParameterError
 from repro.objects.dataset import UncertainDataset
-from repro.objects.uncertain_object import UncertainObject
-from repro.uncertainty.base import UnivariateDistribution
-from repro.uncertainty.exponential import TruncatedExponentialDistribution
-from repro.uncertainty.normal import TruncatedNormalDistribution
-from repro.uncertainty.product import IndependentProduct
+from repro.uncertainty.columns import (
+    ProductColumns,
+    TruncatedExponentialColumns,
+    TruncatedNormalColumns,
+    UniformColumns,
+)
 from repro.uncertainty.sampling import MetropolisHastingsSampler
-from repro.uncertainty.uniform import UniformDistribution
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_probability, ensure_matrix
+from repro.utils.validation import check_probability, ensure_labels, ensure_matrix
 
 #: The pdf families of the paper's Table 2 (U / N / E).
 PDF_FAMILIES = ("uniform", "normal", "exponential")
@@ -76,6 +76,17 @@ class UncertaintyGenerator:
     use_mcmc:
         Perturb via a Metropolis-Hastings chain instead of direct Monte
         Carlo draws (the paper uses both).
+
+    Notes
+    -----
+    Both datasets are columnar (:mod:`repro.uncertainty.columns`): the
+    pdf parameters of all ``n * m`` cells are computed as arrays, and
+    the Monte Carlo perturbation is one block of uniforms mapped through
+    the vectorized inverse CDFs.  The block is drawn in the object-major
+    order of a per-point loop — ``m`` draws per point, or ``m``
+    exponential directions then ``m`` draws — so the datasets and the
+    generator's final state equal those of an object-by-object
+    construction, draw for draw.
     """
 
     def __init__(
@@ -90,8 +101,10 @@ class UncertaintyGenerator:
             raise InvalidParameterError(
                 f"family must be one of {PDF_FAMILIES}, got {family!r}"
             )
-        if spread <= 0:
-            raise InvalidParameterError(f"spread must be > 0, got {spread}")
+        if not (np.isfinite(spread) and spread > 0):
+            raise InvalidParameterError(
+                f"spread must be finite and > 0, got {spread}"
+            )
         check_probability(mass, "mass")
         if mass <= 0.0:
             raise InvalidParameterError("mass must be positive")
@@ -112,35 +125,40 @@ class UncertaintyGenerator:
         """Generate the Case-1 / Case-2 dataset pair for ``points``."""
         pts = ensure_matrix(points, "points")
         n, m = pts.shape
-        if labels is not None and len(labels) != n:
-            raise InvalidParameterError("labels length must match points rows")
+        if labels is not None:
+            labels = ensure_labels(labels, n)
         rng = ensure_rng(seed)
 
         # Per-point, per-dimension uncertainty scales relative to each
         # column's spread ("randomly chosen" parameters of the paper).
-        column_std = pts.std(axis=0)
+        with np.errstate(over="ignore"):  # overflow is reported below
+            column_std = pts.std(axis=0)
         column_std = np.where(column_std > 0, column_std, 1.0)
+        column_scale = self.spread * column_std
+        if not np.all(np.isfinite(column_scale)):
+            j = int(np.argmin(np.isfinite(column_scale)))
+            raise InvalidParameterError(
+                f"column {j}'s uncertainty scale spread * std is not finite "
+                f"({column_scale[j]}); rescale the points"
+            )
         scales = rng.uniform(0.1, 1.0, size=(n, m)) * self.spread * column_std
 
-        perturbed_objects: List[UncertainObject] = []
-        uncertain_objects: List[UncertainObject] = []
-        mcmc = (
-            MetropolisHastingsSampler(seed=rng) if self.use_mcmc else None
-        )
-        for i in range(n):
-            label = None if labels is None else int(labels[i])
-            full_marginals = self._point_pdf(pts[i], scales[i], rng, mass=1.0)
-            trunc_marginals = self._point_pdf(pts[i], scales[i], rng, mass=self.mass,
-                                              reuse=full_marginals)
-            full = IndependentProduct(full_marginals)
-            truncated = IndependentProduct(trunc_marginals)
-
-            draw = self._perturb(full, truncated, mcmc, rng)
-            perturbed_objects.append(UncertainObject.from_point(draw, label=label))
-            uncertain_objects.append(UncertainObject(truncated, label=label))
+        if self.use_mcmc:
+            directions, draws = self._mcmc(pts, scales, rng)
+            _, truncated = self._pdf_columns(pts, scales, directions)
+        else:
+            # One block in the stream order of a per-point loop: per
+            # point, the exponential family's m directions, then the m
+            # quantiles of its perturbation draw.
+            n_directions = m if self.family == "exponential" else 0
+            block = rng.random((n, n_directions + m))
+            full, truncated = self._pdf_columns(
+                pts, scales, block[:, :n_directions]
+            )
+            draws = full.transform(block[:, n_directions:])
         return UncertainDataPair(
-            perturbed=UncertainDataset(perturbed_objects),
-            uncertain=UncertainDataset(uncertain_objects),
+            perturbed=UncertainDataset.from_points(draws, labels),
+            uncertain=UncertainDataset._from_columns(truncated, labels),
         )
 
     def uncertain_dataset(
@@ -155,76 +173,63 @@ class UncertaintyGenerator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _point_pdf(
+    def _pdf_columns(
         self,
-        point: np.ndarray,
+        pts: np.ndarray,
         scales: np.ndarray,
-        rng: np.random.Generator,
-        mass: float,
-        reuse: Optional[List[UnivariateDistribution]] = None,
-    ) -> List[UnivariateDistribution]:
-        """Marginals of ``f_w`` with expected value = ``point``.
+        directions: Optional[np.ndarray],
+    ) -> Tuple[ProductColumns, ProductColumns]:
+        """The untruncated ``f_w`` and its ``mass`` truncation, as columns.
 
-        When ``reuse`` is given (the untruncated marginals), the same
-        parameters are re-truncated to ``mass`` instead of re-drawing —
-        guaranteeing D' and D'' share the same underlying pdf.
+        ``f_w`` has expected value ``w`` and scale ``scales``; the
+        exponential family decays rightwards where ``directions < 0.5``.
+        The truncated columns re-derive their parameters from the
+        untruncated ones instead of re-drawing, so D' and D'' share the
+        same underlying pdf.
         """
-        marginals: List[UnivariateDistribution] = []
-        for j, (w, s) in enumerate(zip(point, scales)):
-            if self.family == "uniform":
-                if reuse is not None:
-                    base = reuse[j]
-                    half = 0.5 * (base.support_upper - base.support_lower)
-                    center = 0.5 * (base.support_upper + base.support_lower)
-                else:
-                    half = float(s) * np.sqrt(3.0)  # std s => half-width s*sqrt(3)
-                    center = float(w)
-                # A uniform's central `mass` interval is just a narrower
-                # uniform around the same center.
-                marginals.append(
-                    UniformDistribution.centered(center, half * mass)
-                    if mass < 1.0
-                    else UniformDistribution.centered(center, half)
-                )
-            elif self.family == "normal":
-                if reuse is not None:
-                    base = reuse[j]
-                    loc = base.loc  # type: ignore[attr-defined]
-                    scale = base.scale  # type: ignore[attr-defined]
-                else:
-                    loc = float(w)
-                    scale = float(s)
-                marginals.append(
-                    TruncatedNormalDistribution.central_mass(loc, scale, mass)
-                )
-            else:  # exponential
-                if reuse is not None:
-                    base = reuse[j]
-                    rate = base.rate  # type: ignore[attr-defined]
-                    direction = base.direction  # type: ignore[attr-defined]
-                    mean = base.origin + direction / rate  # type: ignore[attr-defined]
-                else:
-                    rate = 1.0 / float(s)
-                    direction = 1 if rng.random() < 0.5 else -1
-                    mean = float(w)
-                marginals.append(
-                    TruncatedExponentialDistribution.with_mean(
-                        mean, rate, direction=direction, mass=mass
-                    )
-                )
-        return marginals
+        if self.family == "uniform":
+            half = scales * np.sqrt(3.0)  # std s => half-width s*sqrt(3)
+            full = UniformColumns.build(pts - half, pts + half)
+            # A uniform's central `mass` interval is just a narrower
+            # uniform around the same center.
+            lower, upper = full.support_lower, full.support_upper
+            half = 0.5 * (upper - lower) * self.mass
+            center = 0.5 * (upper + lower)
+            return full, UniformColumns.build(center - half, center + half)
+        if self.family == "normal":
+            return (
+                TruncatedNormalColumns.central_mass(pts, scales, 1.0),
+                TruncatedNormalColumns.central_mass(pts, scales, self.mass),
+            )
+        rate = 1.0 / scales
+        sign = np.where(directions < 0.5, 1.0, -1.0)
+        full = TruncatedExponentialColumns.with_mean(pts, rate, sign)
+        mean = full.origin + sign / rate
+        return full, TruncatedExponentialColumns.with_mean(
+            mean, rate, sign, self.mass
+        )
 
-    def _perturb(
-        self,
-        full: IndependentProduct,
-        truncated: IndependentProduct,
-        mcmc: Optional[MetropolisHastingsSampler],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """One perturbation draw from ``f_w`` (MC or MCMC)."""
-        if mcmc is None:
-            return full.sample(1, rng)[0]
-        # MCMC needs a bounded support: target the truncated pdf, whose
-        # region carries `mass` of f_w — the perturbations the paper
-        # draws are equally representative of f_w.
-        return mcmc.draw(truncated.pdf, truncated.region, size=1)[0]
+    def _mcmc(self, pts, scales, rng):
+        """Per-point Metropolis-Hastings perturbation.
+
+        MCMC needs a bounded support, so each chain targets the
+        truncated pdf, whose region carries ``mass`` of ``f_w`` — the
+        perturbations are equally representative of ``f_w``.  A point's
+        exponential directions are drawn right before its chain, as the
+        chain's draws interleave with them in the shared stream.
+        """
+        n, m = pts.shape
+        mcmc = MetropolisHastingsSampler(seed=rng)
+        directions = np.empty((n, m)) if self.family == "exponential" else None
+        draws = np.empty((n, m))
+        for i in range(n):
+            row = slice(i, i + 1)
+            if directions is not None:
+                directions[i] = rng.random(m)
+            _, truncated = self._pdf_columns(
+                pts[row], scales[row],
+                None if directions is None else directions[row],
+            )
+            target = truncated.materialize(0)
+            draws[i] = mcmc.draw(target.pdf, target.region, size=1)[0]
+        return directions, draws

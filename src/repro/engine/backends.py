@@ -461,9 +461,9 @@ def _init_shared_worker(payload: Dict[str, object]) -> None:
     """Pool initializer: rebuild the dataset/clusterer around shared blocks.
 
     Runs once per worker process.  The pickled parts are the light ones
-    (hyperparameters, distribution objects); every large array — moment
-    matrices and the sample tensor — arrives as a shared-memory spec and
-    is attached, not copied.
+    (hyperparameters, distribution objects or parameter columns); every
+    large array — moment matrices and the sample tensor — arrives as a
+    shared-memory spec and is attached, not copied.
     """
     shms = []
     views = {}
@@ -471,9 +471,9 @@ def _init_shared_worker(payload: Dict[str, object]) -> None:
         shm, view = _attach_shared(spec)
         shms.append(shm)
         views[key] = view
-    objects, labels = pickle.loads(payload["dataset"])
+    source, labels = pickle.loads(payload["dataset"])
     dataset = UncertainDataset._from_shared_moments(
-        objects, labels, views["mu"], views["mu2"], views["sigma2"]
+        source, labels, views["mu"], views["mu2"], views["sigma2"]
     )
     clusterer = pickle.loads(payload["clusterer"])
     if payload["sample"] is not None:

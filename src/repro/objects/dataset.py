@@ -4,10 +4,18 @@ All partitional algorithms in the paper operate on per-object moment
 vectors.  :class:`UncertainDataset` stacks the moments of its objects
 into ``(n, m)`` matrices once, so that assignment steps run as numpy
 matrix arithmetic instead of per-object Python loops.
+
+A dataset whose objects all belong to one product family (the generated
+datasets and point-mass datasets) is stored *columnar*: the family's
+``(n, m)`` parameter arrays (:mod:`repro.uncertainty.columns`) replace
+the objects, and every view — moments, supports, the sampling plan,
+subsets — is computed from the arrays.  Objects are materialized only
+when something iterates or integer-indexes the dataset.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, List, Optional, Sequence, overload
 
 import numpy as np
@@ -19,6 +27,8 @@ from repro.exceptions import (
     InvalidParameterError,
 )
 from repro.objects.uncertain_object import UncertainObject
+from repro.uncertainty.columns import PointColumns, ProductColumns
+from repro.utils.validation import ensure_labels
 
 
 class UncertainDataset:
@@ -39,11 +49,13 @@ class UncertainDataset:
 
     __slots__ = (
         "_objects",
+        "_columns",
         "_mu",
         "_mu2",
         "_sigma2",
         "_total_var",
         "_labels",
+        "_support",
         "_sampling_plan",
         "_pairwise_ed",
     )
@@ -58,29 +70,66 @@ class UncertainDataset:
                 raise DimensionMismatchError(
                     "all objects in a dataset must share dimensionality"
                 )
-        self._objects = tuple(objs)
-        self._mu = np.vstack([obj.mu for obj in objs])
-        self._mu2 = np.vstack([obj.mu2 for obj in objs])
-        self._sigma2 = np.vstack([obj.sigma2 for obj in objs])
-        self._total_var = self._sigma2.sum(axis=1)
-        for arr in (self._mu, self._mu2, self._sigma2, self._total_var):
-            arr.setflags(write=False)
+        labels = None
         if all(obj.label is not None for obj in objs):
-            self._labels = np.array([int(obj.label) for obj in objs])
-            self._labels.setflags(write=False)
-        else:
-            self._labels = None
+            labels = np.array([int(obj.label) for obj in objs])
+        self._assemble(
+            tuple(objs),
+            None,
+            np.vstack([obj.mu for obj in objs]),
+            np.vstack([obj.mu2 for obj in objs]),
+            np.vstack([obj.sigma2 for obj in objs]),
+            labels,
+        )
+
+    def _assemble(self, objects, columns, mu, mu2, sigma2, labels) -> None:
+        """Set every slot; ``objects`` is a tuple, or ``None`` if columnar."""
+        if objects is None:
+            objects = [None] * mu.shape[0]
+        self._objects = objects
+        self._columns = columns
+        self._mu = mu
+        self._mu2 = mu2
+        self._sigma2 = sigma2
+        self._total_var = sigma2.sum(axis=1)
+        for arr in (mu, mu2, sigma2, self._total_var):
+            arr.setflags(write=False)
+        if labels is not None:
+            labels = np.asarray(labels)
+            labels.setflags(write=False)
+        self._labels = labels
+        self._support = None
         self._sampling_plan = None
         self._pairwise_ed = None
+
+    @classmethod
+    def _from_columns(
+        cls, columns: ProductColumns, labels=None
+    ) -> "UncertainDataset":
+        """Columnar dataset over one product family's parameter arrays.
+
+        The moment matrices come from
+        :meth:`~repro.uncertainty.columns.ProductColumns.moments`, which
+        reproduces the scalar constructors bit for bit, so this equals
+        ``UncertainDataset`` over the materialized objects.
+        """
+        if columns.shape[0] == 0:
+            raise EmptyDatasetError("a dataset needs at least one object")
+        mu, mu2 = columns.moments()
+        dataset = object.__new__(cls)
+        dataset._assemble(
+            None, columns, mu, mu2, np.maximum(mu2 - mu**2, 0.0), labels
+        )
+        return dataset
 
     # ------------------------------------------------------------------
     # Sequence protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._objects)
+        return self._mu.shape[0]
 
     def __iter__(self) -> Iterator[UncertainObject]:
-        return iter(self._objects)
+        return iter(self.objects)
 
     @overload
     def __getitem__(self, index: int) -> UncertainObject: ...
@@ -90,19 +139,54 @@ class UncertainDataset:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return UncertainDataset(self._objects[index])
-        return self._objects[index]
+            return self.subset(range(len(self))[index])
+        return self._object(range(len(self))[index])
 
     def __repr__(self) -> str:
         return f"UncertainDataset(n={len(self)}, dim={self.dim})"
+
+    def _object(self, i: int) -> UncertainObject:
+        """Object ``i``, materialized from the columns on first access."""
+        obj = self._objects[i]
+        if obj is None:
+            label = None if self._labels is None else int(self._labels[i])
+            obj = UncertainObject(self._columns.materialize(i), label=label)
+            self._objects[i] = obj
+        return obj
 
     # ------------------------------------------------------------------
     # Shape / moment views
     # ------------------------------------------------------------------
     @property
     def objects(self) -> tuple[UncertainObject, ...]:
-        """The stored objects."""
-        return self._objects
+        """The stored objects (materializes a columnar dataset's)."""
+        if self._columns is None:
+            return self._objects
+        return tuple(self._object(i) for i in range(len(self)))
+
+    @property
+    def support_lower(self) -> FloatArray:
+        """Stacked region lower bounds, shape ``(n, m)``."""
+        return self._support_bounds()[0]
+
+    @property
+    def support_upper(self) -> FloatArray:
+        """Stacked region upper bounds, shape ``(n, m)``."""
+        return self._support_bounds()[1]
+
+    def _support_bounds(self):
+        if self._support is None:
+            if self._columns is not None:
+                bounds = (self._columns.support_lower, self._columns.support_upper)
+            else:
+                bounds = (
+                    np.vstack([obj.region.lower for obj in self._objects]),
+                    np.vstack([obj.region.upper for obj in self._objects]),
+                )
+                for arr in bounds:
+                    arr.setflags(write=False)
+            self._support = bounds
+        return self._support
 
     @property
     def dim(self) -> int:
@@ -159,9 +243,12 @@ class UncertainDataset:
         from repro.uncertainty.batch import build_sampling_plan
 
         if self._sampling_plan is None:
-            self._sampling_plan = build_sampling_plan(
-                [obj.distribution for obj in self._objects]
-            )
+            if self._columns is not None:
+                self._sampling_plan = self._columns.sampling_plan()
+            else:
+                self._sampling_plan = build_sampling_plan(
+                    [obj.distribution for obj in self._objects]
+                )
         return self._sampling_plan.sample(n_samples, seed)
 
     # ------------------------------------------------------------------
@@ -195,13 +282,16 @@ class UncertainDataset:
 
         The process execution backend ships this small tuple to workers
         and publishes the ``(n, m)`` matrices through shared memory
-        instead — see :meth:`_from_shared_moments`.
+        instead — see :meth:`_from_shared_moments`.  A columnar dataset
+        ships its parameter columns and never materializes objects.
         """
+        if self._columns is not None:
+            return self._columns, self._labels
         return self._objects, self._labels
 
     @classmethod
     def _from_shared_moments(
-        cls, objects, labels, mu, mu2, sigma2
+        cls, source, labels, mu, mu2, sigma2
     ) -> "UncertainDataset":
         """Rebuild a dataset around externally provided moment views.
 
@@ -209,21 +299,13 @@ class UncertainDataset:
         adopted as-is (typically read-only views over shared-memory
         blocks) instead of being restacked from the objects, so worker
         processes pay neither the pickling nor the recomputation cost.
+        ``source`` is the object tuple or the parameter columns.
         """
         dataset = object.__new__(cls)
-        dataset._objects = tuple(objects)
-        dataset._mu = mu
-        dataset._mu2 = mu2
-        dataset._sigma2 = sigma2
-        total_var = sigma2.sum(axis=1)
-        total_var.setflags(write=False)
-        dataset._total_var = total_var
-        if labels is not None:
-            labels = np.asarray(labels)
-            labels.setflags(write=False)
-        dataset._labels = labels
-        dataset._sampling_plan = None
-        dataset._pairwise_ed = None
+        if isinstance(source, ProductColumns):
+            dataset._assemble(None, source, mu, mu2, sigma2, labels)
+        else:
+            dataset._assemble(tuple(source), None, mu, mu2, sigma2, labels)
         return dataset
 
     # ------------------------------------------------------------------
@@ -234,7 +316,20 @@ class UncertainDataset:
         idx_list = list(indices)
         if not idx_list:
             raise EmptyDatasetError("subset needs at least one index")
-        return UncertainDataset([self._objects[i] for i in idx_list])
+        if self._columns is None:
+            return UncertainDataset([self._objects[i] for i in idx_list])
+        rows = np.array([operator.index(i) for i in idx_list], dtype=np.intp)
+        rows = np.arange(len(self))[rows]  # bounds-checked, negatives wrapped
+        dataset = object.__new__(type(self))
+        dataset._assemble(
+            None,
+            self._columns.take(rows),
+            self._mu[rows],
+            self._mu2[rows],
+            self._sigma2[rows],
+            None if self._labels is None else self._labels[rows],
+        )
+        return dataset
 
     def sample_fraction(
         self,
@@ -276,18 +371,15 @@ class UncertainDataset:
     def from_points(
         points: np.ndarray, labels: Optional[Sequence[int]] = None
     ) -> "UncertainDataset":
-        """Deterministic dataset: one zero-variance object per row."""
+        """Deterministic dataset: one zero-variance object per row.
+
+        Stored columnar as point masses (see the module docstring).
+        """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise InvalidParameterError(
                 f"points must be a 2-D matrix, got shape {pts.shape}"
             )
-        if labels is not None and len(labels) != pts.shape[0]:
-            raise InvalidParameterError("labels length must match points rows")
-        objects = [
-            UncertainObject.from_point(
-                pts[i], label=None if labels is None else int(labels[i])
-            )
-            for i in range(pts.shape[0])
-        ]
-        return UncertainDataset(objects)
+        if labels is not None:
+            labels = ensure_labels(labels, pts.shape[0])
+        return UncertainDataset._from_columns(PointColumns.build(pts), labels)

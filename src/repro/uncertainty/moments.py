@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from repro._typing import FloatArray, SeedLike
 from repro.exceptions import InvalidParameterError
@@ -60,6 +59,8 @@ def quadrature_mass(dist: UnivariateDistribution) -> float:
 
     Should be ~1 for every valid distribution; the test-suite asserts it.
     """
+    from scipy import integrate  # deferred: only the cross-checks need it
+
     lo = dist.support_lower
     hi = dist.support_upper
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -76,6 +77,8 @@ def quadrature_mass(dist: UnivariateDistribution) -> float:
 
 def quadrature_moments(dist: UnivariateDistribution) -> tuple[float, float]:
     """(mean, second moment) of a 1-D pdf via adaptive quadrature."""
+    from scipy import integrate  # deferred: only the cross-checks need it
+
     lo = dist.support_lower
     hi = dist.support_upper
     if hi == lo:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro._typing import FloatArray, MatrixLike, VectorLike
+from repro._typing import FloatArray, IntArray, MatrixLike, VectorLike
 from repro.exceptions import DimensionMismatchError, InvalidParameterError
 
 
@@ -120,3 +120,28 @@ def check_int_range(
     if high is not None and value > high:
         raise InvalidParameterError(f"{name} must be <= {high}, got {value}")
     return value
+
+
+def ensure_labels(labels, n: int) -> IntArray:
+    """Convert per-row class labels to an int64 vector of length ``n``.
+
+    Labels must be integral: ``1.0`` is accepted as class 1, but ``0.5``
+    is rejected instead of being truncated to class 0.
+    """
+    arr = np.asarray(labels)
+    if arr.ndim != 1 or arr.shape[0] != n:
+        raise InvalidParameterError("labels length must match points rows")
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64)
+    try:
+        values = arr.astype(np.float64)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"labels must be integers, got dtype {arr.dtype}"
+        ) from None
+    fractional = ~(np.isfinite(values) & (values == np.trunc(values)))
+    if fractional.any():
+        raise InvalidParameterError(
+            f"labels must be integral, got {values[fractional][0]!r}"
+        )
+    return values.astype(np.int64)

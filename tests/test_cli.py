@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -71,3 +76,20 @@ class TestExecution:
         text = out_file.read_text()
         assert "Table 2" in text
         assert "Figure 5" in text
+
+
+def test_parser_setup_does_not_import_quadrature():
+    """``scipy.integrate`` is needed only by the quadrature cross-checks,
+    so building the CLI parser must not pay for importing it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro.cli; repro.cli.build_parser(); "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

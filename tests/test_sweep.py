@@ -327,13 +327,15 @@ class TestCacheSharing:
                 counting_pairwise,
             )
 
-        original_plan = batch_module.build_sampling_plan
+        # Columnar datasets compile their plan without build_sampling_plan,
+        # so count the plans themselves.
+        original_plan = batch_module.SamplingPlan.__init__
 
-        def counting_plan(distributions):
+        def counting_plan(plan, *args, **kwargs):
             counts["plan"] += 1
-            return original_plan(distributions)
+            original_plan(plan, *args, **kwargs)
 
-        monkeypatch.setattr(batch_module, "build_sampling_plan", counting_plan)
+        monkeypatch.setattr(batch_module.SamplingPlan, "__init__", counting_plan)
 
         original_microarray = table3_module.make_microarray
 

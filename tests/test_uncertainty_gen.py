@@ -111,13 +111,36 @@ class TestGeneratorOptions:
         ds = gen.uncertain_dataset(pts, labels, seed=7)
         assert len(ds) == 40
 
-    def test_invalid_parameters(self):
+    @pytest.mark.parametrize("family", PDF_FAMILIES)
+    def test_invalid_parameters(self, family, points):
         with pytest.raises(InvalidParameterError):
             UncertaintyGenerator(family="cauchy")
+        for spread in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match="spread"):
+                UncertaintyGenerator(family, spread=spread)
         with pytest.raises(InvalidParameterError):
-            UncertaintyGenerator(spread=0.0)
-        with pytest.raises(InvalidParameterError):
-            UncertaintyGenerator(mass=1.5)
+            UncertaintyGenerator(family, mass=1.5)
+
+        # Coordinates of order 1e154 overflow the column std: one typed
+        # error naming the column, raised before any draw.
+        pts, labels = points
+        huge = pts.copy()
+        huge[:, 1] *= 1e154
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="column 1"):
+            UncertaintyGenerator(family).generate(huge, labels, seed=rng)
+        assert rng.bit_generator.state == state
+
+        # Non-integral labels are rejected, not truncated to class 0.
+        with pytest.raises(InvalidParameterError, match="integral"):
+            UncertaintyGenerator(family).generate(
+                pts[:20], np.linspace(0, 1, 20), seed=0
+            )
+        pair = UncertaintyGenerator(family).generate(
+            pts, labels.astype(float), seed=0
+        )
+        assert np.array_equal(pair.uncertain.labels, labels)
 
     def test_label_length_mismatch(self, points):
         pts, _ = points
