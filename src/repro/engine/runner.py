@@ -45,7 +45,7 @@ from repro.engine.backends import (
     get_backend,
     validate_batch_size,
 )
-from repro.engine.distances import pinned_pairwise_ed, resolve_pairwise_ed
+from repro.engine.distances import resolve_pairwise_ed
 from repro.exceptions import InvalidParameterError, warn_convergence
 from repro.objects.dataset import UncertainDataset
 
@@ -424,7 +424,6 @@ def fit_runs(
     dataset: UncertainDataset,
     seeds: Sequence[SeedLike],
     *,
-    engine: bool = True,
     sample_seed: SeedLike = None,
     share_samples: Optional[bool] = None,
     n_jobs: int = 1,
@@ -432,17 +431,14 @@ def fit_runs(
     batch_size: BatchSizeLike = 1,
     pairwise_ed: Optional[np.ndarray] = None,
 ) -> List[ClusteringResult]:
-    """Fit ``clusterer`` once per seed, optionally through the engine.
+    """Fit ``clusterer`` once per seed through the engine.
 
-    The uniform multi-run entry point of the experiment runners: with
-    ``engine=True`` (default) the fits execute through
-    :meth:`MultiRestartRunner.run_all`, sharing the dataset's moment
-    matrices, — for sample-based algorithms — one sample tensor drawn
-    from ``sample_seed``, and — for ``wants_pairwise_ed`` algorithms —
-    one pairwise ``ÊD`` matrix (``pairwise_ed``, or the dataset's cached
-    one); with ``engine=False`` each seed is fitted directly (the
-    pre-engine idiom, kept as the reference path for the
-    routing-equivalence tests).
+    The uniform multi-run entry point of the experiment runners: the
+    fits execute through :meth:`MultiRestartRunner.run_all`, sharing the
+    dataset's moment matrices, — for sample-based algorithms — one
+    sample tensor drawn from ``sample_seed``, and — for
+    ``wants_pairwise_ed`` algorithms — one pairwise ``ÊD`` matrix
+    (``pairwise_ed``, or the dataset's cached one).
 
     ``share_samples=None`` resolves per algorithm: algorithms whose
     only randomness is the Monte-Carlo draw
@@ -450,9 +446,8 @@ def fit_runs(
     tensors from their own run seeds — sharing one tensor would make
     every "run" the same realization, degrading a multi-run average to
     a single measurement — while everything else shares.  With that
-    resolution the engine path is fit-for-fit identical to the direct
-    path for both the moment-based *and* the sample-deterministic
-    algorithms.
+    resolution every fit equals a direct ``clusterer.fit(dataset, seed=s)``
+    for both the moment-based *and* the sample-deterministic algorithms.
 
     ``backend``/``batch_size`` select the execution backend and the
     in-worker restart chunking for the series (see
@@ -461,17 +456,6 @@ def fit_runs(
     wall-clock time.
     """
     seeds = list(seeds)
-    if not engine:
-        if pairwise_ed is None:
-            return [clusterer.fit(dataset, seed=s) for s in seeds]
-        # The reference path keeps its per-fit recompute semantics, but
-        # an *explicit* matrix must mean the same thing in both modes —
-        # otherwise engine=False stops being the bit-identical
-        # routing-equivalence baseline for callers handing one in.
-        with pinned_pairwise_ed(
-            clusterer, resolve_pairwise_ed(clusterer, dataset, pairwise_ed)
-        ):
-            return [clusterer.fit(dataset, seed=s) for s in seeds]
     if share_samples is None:
         share_samples = not getattr(clusterer, "sample_randomness_only", False)
     runner = MultiRestartRunner(

@@ -64,6 +64,7 @@ import hashlib
 import json
 import os
 import re
+import uuid
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import (
@@ -133,9 +134,11 @@ def atomic_write(path: Path, text: str) -> None:
     shortly after ``os.replace`` can leave a *truncated* file under the
     final name, indistinguishable from a completed write — and the
     parent directory is fsynced after it so the rename itself is
-    durable.
+    durable.  The tmp name carries a per-call token: two processes
+    writing one file (workers creating one store, or both writers of a
+    cell after a stolen lease) must not rename each other's tmp away.
     """
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
         handle.flush()

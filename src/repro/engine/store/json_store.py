@@ -247,7 +247,7 @@ class JsonStore(ResultStore):
         once no peer process can be writing (see the base docstring).
         """
         removed = []
-        candidates = [self.path / f"{self.MANIFEST}.tmp"]
+        candidates = sorted(self.path.glob(f"{self.MANIFEST}*.tmp"))
         for directory in (self.cells_dir, self.leases_dir):
             if directory.is_dir():
                 candidates.extend(sorted(directory.glob("*.tmp")))

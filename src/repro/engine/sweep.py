@@ -72,6 +72,8 @@ import time
 import uuid
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -467,7 +469,7 @@ class _LeaseClaimer:
 
 
 class _CellLedger:
-    """Per-surface bookkeeping shared by the four surface loops.
+    """Per-surface bookkeeping of :func:`_drive_surface`.
 
     With a ``claimer`` the ledger runs in multi-worker mode: a cell is
     only executed after its lease is claimed, foreign-leased cells are
@@ -568,6 +570,77 @@ class _CellLedger:
         return payload["values"]
 
 
+@dataclass(frozen=True)
+class _Group:
+    """One reuse unit of a surface: cells walked on one seed stream.
+
+    ``cells`` maps each cell's report key to its store coordinates
+    ``(group_coords, cell_coords)``, in walk order.  Each run of cells
+    sharing ``group_coords`` is one dataset: ``prepare()`` is called
+    once per such block, in order, and returns its data.
+    """
+
+    label: str
+    cells: Dict[Tuple, Tuple[Tuple[str, ...], Tuple[str, ...]]]
+    stream: object
+    prepare: Callable[[], object]
+
+
+def _drive_surface(
+    surface: str,
+    groups: List[_Group],
+    config: ExperimentConfig,
+    ledger: _CellLedger,
+    run: Callable[[object, object, Tuple], Dict[str, object]],
+    skip: Callable[[object], None],
+    accept: Callable[[Tuple, Dict[str, object]], None],
+) -> None:
+    """Walk one surface's groups: reuse, defer or run every cell.
+
+    ``run(data, stream, key)`` computes one cell's values, consuming
+    the group's stream; ``skip(stream)`` replays that consumption for a
+    cell that is reused or leased elsewhere.  ``accept(key, values)``
+    decodes values into the surface report, for every cell whose values
+    this walk knows.
+    """
+    for group in ledger.order_groups(groups):
+        names = {
+            key: cell_id(surface, *coords)
+            for key, coords in group.cells.items()
+        }
+        cached = ledger.reuse_whole_group(list(names.values()))
+        if cached is not None:
+            for key, name in names.items():
+                accept(key, cached[name])
+            ledger.log(f"{group.label}: reused all cells")
+            continue
+        blocks = groupby(group.cells.items(), key=lambda item: item[1][0])
+        for _, block in blocks:
+            data = group.prepare()
+            with _group_scope(config):
+                for key, (group_coords, cell_coords) in block:
+                    name = names[key]
+                    fingerprint = _seed_fingerprint(group.stream)
+                    values = ledger.cached_values(name, fingerprint)
+                    if values is not None or not ledger.begin_cell(name):
+                        skip(group.stream)
+                    else:
+                        with ledger.running_cell(name):
+                            values = run(data, group.stream, key)
+                        ledger.store.write_cell(
+                            surface, group_coords, cell_coords,
+                            fingerprint, values,
+                        )
+                        ledger.finish_cell(name)
+                        ledger.outcome.executed.append(name)
+                        ledger.log(
+                            f"{surface}/{'/'.join(group_coords + cell_coords)}"
+                            ": done"
+                        )
+                    if values is not None:
+                        accept(key, values)
+
+
 def _sweep_table2(spec: Table2Spec, ledger: _CellLedger) -> object:
     from repro.experiments.table2 import (
         Table2Cell,
@@ -583,63 +656,38 @@ def _sweep_table2(spec: Table2Spec, ledger: _CellLedger) -> object:
         families=spec.families,
         algorithms=spec.algorithms,
     )
-    master = spawn_rngs(config.seed, len(spec.datasets) * len(spec.families))
+    pairs = [(ds, family) for ds in spec.datasets for family in spec.families]
     groups = [
-        (ds_name, family)
-        for ds_name in spec.datasets
-        for family in spec.families
+        _Group(
+            label=f"table2/{ds_name}/{family}",
+            cells={
+                (ds_name, family, alg): ((ds_name, family), (alg,))
+                for alg in spec.algorithms
+            },
+            stream=rng,
+            prepare=partial(prepare_table2_group, ds_name, family, rng, config),
+        )
+        for (ds_name, family), rng in zip(
+            pairs, spawn_rngs(config.seed, len(pairs))
+        )
     ]
-    for stream_idx, (ds_name, family) in ledger.order_groups(
-        list(enumerate(groups))
-    ):
-        rng = master[stream_idx]
-        group = (ds_name, family)
-        names = {
-            alg: cell_id("table2", group, (alg,))
-            for alg in spec.algorithms
-        }
-        cached = ledger.reuse_whole_group(list(names.values()))
-        if cached is not None:
-            for alg in spec.algorithms:
-                values = cached[names[alg]]
-                report.cells[(ds_name, family, alg)] = Table2Cell(
-                    theta=values["theta"], quality=values["quality"]
-                )
-            ledger.log(f"table2/{ds_name}/{family}: reused all cells")
-            continue
-        pair, n_classes = prepare_table2_group(ds_name, family, rng, config)
-        distances = None
-        with _group_scope(config):
-            for alg in spec.algorithms:
-                fingerprint = _seed_fingerprint(rng)
-                values = ledger.cached_values(names[alg], fingerprint)
-                if values is not None:
-                    skip_table2_cell(rng, config)
-                    cell = Table2Cell(
-                        theta=values["theta"], quality=values["quality"]
-                    )
-                elif not ledger.begin_cell(names[alg]):
-                    skip_table2_cell(rng, config)
-                    cell = None
-                else:
-                    if distances is None:
-                        distances = pair.uncertain.pairwise_ed()
-                    with ledger.running_cell(names[alg]):
-                        cell = run_table2_cell(
-                            alg, pair, n_classes, rng, config, distances
-                        )
-                    ledger.store.write_cell(
-                        "table2",
-                        group,
-                        (alg,),
-                        fingerprint,
-                        {"theta": cell.theta, "quality": cell.quality},
-                    )
-                    ledger.finish_cell(names[alg])
-                    ledger.outcome.executed.append(names[alg])
-                    ledger.log(f"table2/{ds_name}/{family}/{alg}: done")
-                if cell is not None:
-                    report.cells[(ds_name, family, alg)] = cell
+
+    def run(data, rng, key):
+        pair, n_classes = data
+        cell = run_table2_cell(
+            key[2], pair, n_classes, rng, config, pair.uncertain.pairwise_ed()
+        )
+        return {"theta": cell.theta, "quality": cell.quality}
+
+    def accept(key, values):
+        report.cells[key] = Table2Cell(
+            theta=values["theta"], quality=values["quality"]
+        )
+
+    _drive_surface(
+        "table2", groups, config, ledger,
+        run, partial(skip_table2_cell, config=config), accept,
+    )
     return report
 
 
@@ -657,56 +705,36 @@ def _sweep_table3(spec: Table3Spec, ledger: _CellLedger) -> object:
         cluster_counts=spec.cluster_counts,
         algorithms=spec.algorithms,
     )
-    streams = spawn_rngs(config.seed, len(spec.datasets))
-    for ds_name, ds_rng in ledger.order_groups(
-        list(zip(spec.datasets, streams))
-    ):
-        cells = [
-            (k, alg) for k in spec.cluster_counts for alg in spec.algorithms
-        ]
-        names = {
-            (k, alg): cell_id("table3", (ds_name,), (f"k{k}", alg))
-            for k, alg in cells
-        }
-        cached = ledger.reuse_whole_group([names[key] for key in cells])
-        if cached is not None:
-            for k, alg in cells:
-                report.quality[(ds_name, k, alg)] = cached[names[(k, alg)]][
-                    "quality"
-                ]
-            ledger.log(f"table3/{ds_name}: reused all cells")
-            continue
-        dataset = prepare_table3_group(ds_name, ds_rng, config)
-        distances = None
-        with _group_scope(config):
-            for k, alg in cells:
-                fingerprint = _seed_fingerprint(ds_rng)
-                values = ledger.cached_values(names[(k, alg)], fingerprint)
-                if values is not None:
-                    skip_table3_cell(ds_rng, config)
-                    quality = float(values["quality"])
-                elif not ledger.begin_cell(names[(k, alg)]):
-                    skip_table3_cell(ds_rng, config)
-                    quality = None
-                else:
-                    if distances is None:
-                        distances = dataset.pairwise_ed()
-                    with ledger.running_cell(names[(k, alg)]):
-                        quality = run_table3_cell(
-                            alg, dataset, k, ds_rng, config, distances
-                        )
-                    ledger.store.write_cell(
-                        "table3",
-                        (ds_name,),
-                        (f"k{k}", alg),
-                        fingerprint,
-                        {"quality": quality},
-                    )
-                    ledger.finish_cell(names[(k, alg)])
-                    ledger.outcome.executed.append(names[(k, alg)])
-                    ledger.log(f"table3/{ds_name}/k{k}/{alg}: done")
-                if quality is not None:
-                    report.quality[(ds_name, k, alg)] = quality
+    groups = [
+        _Group(
+            label=f"table3/{ds_name}",
+            cells={
+                (ds_name, k, alg): ((ds_name,), (f"k{k}", alg))
+                for k in spec.cluster_counts
+                for alg in spec.algorithms
+            },
+            stream=ds_rng,
+            prepare=partial(prepare_table3_group, ds_name, ds_rng, config),
+        )
+        for ds_name, ds_rng in zip(
+            spec.datasets, spawn_rngs(config.seed, len(spec.datasets))
+        )
+    ]
+
+    def run(dataset, ds_rng, key):
+        _, k, alg = key
+        quality = run_table3_cell(
+            alg, dataset, k, ds_rng, config, dataset.pairwise_ed()
+        )
+        return {"quality": quality}
+
+    def accept(key, values):
+        report.quality[key] = float(values["quality"])
+
+    _drive_surface(
+        "table3", groups, config, ledger,
+        run, partial(skip_table3_cell, config=config), accept,
+    )
     return report
 
 
@@ -726,50 +754,31 @@ def _sweep_figure4(spec: Figure4Spec, ledger: _CellLedger) -> object:
         fast_group=spec.fast_group,
     )
     roster = figure4_roster(spec.slow_group, spec.fast_group)
-    streams = spawn_rngs(config.seed, len(spec.datasets))
-    for ds_name, ds_rng in ledger.order_groups(
-        list(zip(spec.datasets, streams))
-    ):
-        names = {
-            alg: cell_id("figure4", (ds_name,), (alg,)) for alg in roster
-        }
-        cached = ledger.reuse_whole_group([names[alg] for alg in roster])
-        if cached is not None:
-            for alg in roster:
-                report.runtimes_ms[(ds_name, alg)] = float(
-                    cached[names[alg]]["runtime_ms"]
-                )
-            ledger.log(f"figure4/{ds_name}: reused all cells")
-            continue
-        dataset = prepare_figure4_group(ds_name, ds_rng, config)
+    groups = [
+        _Group(
+            label=f"figure4/{ds_name}",
+            cells={(ds_name, alg): ((ds_name,), (alg,)) for alg in roster},
+            stream=ds_rng,
+            prepare=partial(prepare_figure4_group, ds_name, ds_rng, config),
+        )
+        for ds_name, ds_rng in zip(
+            spec.datasets, spawn_rngs(config.seed, len(spec.datasets))
+        )
+    ]
+
+    def run(dataset, ds_rng, key):
         k = min(spec.n_clusters, len(dataset) - 1)
-        with _group_scope(config):
-            for alg in roster:
-                fingerprint = _seed_fingerprint(ds_rng)
-                values = ledger.cached_values(names[alg], fingerprint)
-                if values is not None:
-                    skip_figure4_cell(ds_rng, config)
-                    runtime_ms = float(values["runtime_ms"])
-                elif not ledger.begin_cell(names[alg]):
-                    skip_figure4_cell(ds_rng, config)
-                    runtime_ms = None
-                else:
-                    with ledger.running_cell(names[alg]):
-                        runtime_ms = run_figure4_cell(
-                            alg, dataset, k, ds_rng, config
-                        )
-                    ledger.store.write_cell(
-                        "figure4",
-                        (ds_name,),
-                        (alg,),
-                        fingerprint,
-                        {"runtime_ms": runtime_ms},
-                    )
-                    ledger.finish_cell(names[alg])
-                    ledger.outcome.executed.append(names[alg])
-                    ledger.log(f"figure4/{ds_name}/{alg}: done")
-                if runtime_ms is not None:
-                    report.runtimes_ms[(ds_name, alg)] = runtime_ms
+        return {
+            "runtime_ms": run_figure4_cell(key[1], dataset, k, ds_rng, config)
+        }
+
+    def accept(key, values):
+        report.runtimes_ms[key] = float(values["runtime_ms"])
+
+    _drive_surface(
+        "figure4", groups, config, ledger,
+        run, partial(skip_figure4_cell, config=config), accept,
+    )
     return report
 
 
@@ -786,67 +795,44 @@ def _sweep_figure5(spec: Figure5Spec, ledger: _CellLedger) -> object:
     report = Figure5Report(
         fractions=spec.fractions, algorithms=spec.algorithms
     )
-    names = {
-        (frac, alg): cell_id("figure5", (f"f{frac}",), (alg,))
-        for frac in spec.fractions
-        for alg in spec.algorithms
-    }
-    # Figure 5's fractions share one data stream (each subset draw
-    # consumes it), so the surface can only skip dataset synthesis when
-    # *every* cell is reusable; otherwise the full sequence is replayed.
-    cached = ledger.reuse_whole_group(
-        [names[key] for key in names]
+    rng_data, rng_runs = spawn_rngs(config.seed, 2)
+
+    def subsets():
+        # The fractions share rng_data, which no fingerprint covers:
+        # every subset is drawn in fraction order, cached or not, and
+        # only the current one is held (together they are 2.55x the
+        # base at the paper's fractions).
+        full = prepare_figure5_base(config, spec.base_size, rng_data)
+        for frac in spec.fractions:
+            yield prepare_figure5_fraction(full, frac, rng_data)
+
+    # One group: the shared rng_data lets the surface skip dataset
+    # synthesis only when *every* cell is reusable.
+    surface = _Group(
+        label="figure5",
+        cells={
+            (frac, alg): ((f"f{frac}",), (alg,))
+            for frac in spec.fractions
+            for alg in spec.algorithms
+        },
+        stream=rng_runs,
+        prepare=subsets().__next__,
     )
-    if cached is not None:
-        for (frac, alg), name in names.items():
-            values = cached[name]
-            report.runtimes_ms[(frac, alg)] = float(values["runtime_ms"])
-            report.sizes[frac] = int(values["n"])
-        ledger.log("figure5: reused all cells")
-        return report
-    full, rng_data, rng_runs = prepare_figure5_base(config, spec.base_size)
-    for frac in spec.fractions:
-        subset = prepare_figure5_fraction(full, frac, rng_data)
-        report.sizes[frac] = len(subset)
+
+    def run(subset, rng, key):
         k = min(FIGURE5_K, len(subset) - 1)
-        with _group_scope(config):
-            for alg in spec.algorithms:
-                fingerprint = _seed_fingerprint(rng_runs)
-                values = ledger.cached_values(
-                    names[(frac, alg)], fingerprint
-                )
-                if values is not None:
-                    skip_figure5_cell(rng_runs, config)
-                    runtime_ms = float(values["runtime_ms"])
-                elif not ledger.begin_cell(names[(frac, alg)]):
-                    skip_figure5_cell(rng_runs, config)
-                    runtime_ms = None
-                else:
-                    with ledger.running_cell(names[(frac, alg)]):
-                        runtime_ms = run_figure5_cell(
-                            alg, subset, k, rng_runs, config
-                        )
-                    ledger.store.write_cell(
-                        "figure5",
-                        (f"f{frac}",),
-                        (alg,),
-                        fingerprint,
-                        {"runtime_ms": runtime_ms, "n": len(subset)},
-                    )
-                    ledger.finish_cell(names[(frac, alg)])
-                    ledger.outcome.executed.append(names[(frac, alg)])
-                    ledger.log(f"figure5/f{frac}/{alg}: done")
-                if runtime_ms is not None:
-                    report.runtimes_ms[(frac, alg)] = runtime_ms
+        runtime_ms = run_figure5_cell(key[1], subset, k, rng, config)
+        return {"runtime_ms": runtime_ms, "n": len(subset)}
+
+    def accept(key, values):
+        report.runtimes_ms[key] = float(values["runtime_ms"])
+        report.sizes[key[0]] = int(values["n"])
+
+    _drive_surface(
+        "figure5", [surface], config, ledger,
+        run, partial(skip_figure5_cell, config=config), accept,
+    )
     return report
-
-
-_SURFACE_RUNNERS = {
-    "table2": _sweep_table2,
-    "table3": _sweep_table3,
-    "figure4": _sweep_figure4,
-    "figure5": _sweep_figure5,
-}
 
 
 def run_sweep(
@@ -900,6 +886,14 @@ def run_sweep(
     finally:
         if not borrowed:
             sweep_store.close()
+
+
+_SURFACE_RUNNERS = {
+    "table2": _sweep_table2,
+    "table3": _sweep_table3,
+    "figure4": _sweep_figure4,
+    "figure5": _sweep_figure5,
+}
 
 
 def _run_surfaces(

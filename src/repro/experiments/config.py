@@ -114,19 +114,9 @@ class ExperimentConfig:
         Uncertainty magnitude for the Section 5.1 generator.
     mass:
         Case-2 region probability mass (paper: 0.95).
-    engine:
-        Route the per-run fits of every experiment through
-        :func:`repro.engine.fit_runs`, sharing one sample tensor and
-        the dataset moment cache across runs (except for
-        FDBSCAN/FOPTICS, whose only randomness is the draw itself —
-        they keep independent per-run tensors so the ``n_runs`` average
-        stays a real average).  ``False`` keeps the direct per-fit loop
-        (the reference path of the routing equivalence tests); seed
-        derivation is identical in both modes, so the moment-based and
-        sample-deterministic algorithms produce the same measurements
-        either way.
     backend:
-        Execution backend for the engine-routed fit series:
+        Execution backend of every experiment's fit series (each runs
+        through :func:`repro.engine.fit_runs`):
         ``"serial"`` (default), ``"threads"``, ``"processes"`` or
         ``"auto"`` — per-algorithm-family dispatch — (see
         :mod:`repro.engine.backends`).  Backends are result-identical
@@ -150,7 +140,6 @@ class ExperimentConfig:
     n_samples: int = 32
     spread: float = 1.0
     mass: float = 0.95
-    engine: bool = True
     backend: str = "serial"
     n_jobs: int = 1
     batch_size: "int | str" = 1

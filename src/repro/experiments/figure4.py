@@ -122,14 +122,13 @@ def run_figure4_cell(
         alg_name, n_clusters=k, n_samples=config.n_samples
     )
     # n_runs + 1 streams: the last seeds the shared tensor (when
-    # applicable), keeping ds_rng consumption independent of the engine
-    # mode and of the algorithm type.
+    # applicable), keeping ds_rng consumption independent of the
+    # algorithm type.
     streams = spawn_rngs(ds_rng, config.n_runs + 1)
     results = fit_runs(
         algorithm,
         dataset,
         streams[:-1],
-        engine=config.engine,
         sample_seed=streams[-1],
         backend=config.backend,
         n_jobs=config.n_jobs,
@@ -153,11 +152,10 @@ def run_figure4(
 ) -> Figure4Report:
     """Regenerate Figure 4's runtime comparison at the configured scale.
 
-    Runs execute through :func:`repro.engine.fit_runs` (unless
-    ``config.engine`` is off): sample-based algorithms draw one shared
-    tensor per (dataset, algorithm) series, matching the paper's
-    off-line/on-line accounting — ``runtime_seconds`` only ever times
-    the on-line clustering phase.
+    Runs execute through :func:`repro.engine.fit_runs`: sample-based
+    algorithms draw one shared tensor per (dataset, algorithm) series,
+    matching the paper's off-line/on-line accounting —
+    ``runtime_seconds`` only ever times the on-line clustering phase.
     """
     config = config or ExperimentConfig(scale=0.02, n_runs=3)
     report = Figure4Report(

@@ -21,6 +21,7 @@ import numpy as np
 from repro.datagen.benchmarks import make_benchmark
 from repro.datagen.uncertainty_gen import UncertaintyGenerator
 from repro.engine import fit_runs
+from repro.exceptions import InvalidParameterError
 from repro.experiments.config import (
     SCALABILITY_ROSTER,
     ExperimentConfig,
@@ -84,22 +85,23 @@ class Figure5Report:
 # ----------------------------------------------------------------------
 # Group / cell executors (shared with the sweep orchestrator)
 # ----------------------------------------------------------------------
-def prepare_figure5_base(config: ExperimentConfig, base_size: int):
-    """The full KDD-shaped dataset plus the two master streams.
+def prepare_figure5_base(config: ExperimentConfig, base_size: int, rng_data):
+    """The full KDD-shaped dataset of ``base_size`` objects.
 
-    Returns ``(full, rng_data, rng_runs)``; ``rng_data`` is consumed
-    further by each fraction's stratified subset draw, ``rng_runs`` by
-    each cell — both statefully, so the sweep replays this sequence in
-    full whenever any Figure 5 cell is pending.
+    Figure 5 runs on two master streams, ``spawn_rngs(config.seed, 2)``:
+    ``rng_data`` is consumed here and further by each fraction's
+    stratified subset draw, ``rng_runs`` by each cell — both statefully,
+    so the sweep replays this sequence in full whenever any Figure 5
+    cell is pending.
     """
-    rng_data, rng_runs = spawn_rngs(config.seed, 2)
+    if base_size < 1:
+        raise InvalidParameterError(f"base_size must be >= 1, got {base_size}")
     scale = min(1.0, base_size / 4_000_000)
     points, labels = make_benchmark("kddcup99", scale=scale, seed=rng_data)
     generator = UncertaintyGenerator(
         family="normal", spread=config.spread, mass=config.mass
     )
-    full = generator.uncertain_dataset(points, labels, seed=rng_data)
-    return full, rng_data, rng_runs
+    return generator.uncertain_dataset(points, labels, seed=rng_data)
 
 
 def prepare_figure5_fraction(full, frac: float, rng_data):
@@ -116,13 +118,12 @@ def run_figure5_cell(
     )
     # n_runs + 1 streams: the last seeds the shared tensor (when
     # applicable), keeping rng_runs consumption independent of the
-    # engine mode and of the algorithm type.
+    # algorithm type.
     streams = spawn_rngs(rng_runs, config.n_runs + 1)
     results = fit_runs(
         algorithm,
         subset,
         streams[:-1],
-        engine=config.engine,
         sample_seed=streams[-1],
         backend=config.backend,
         n_jobs=config.n_jobs,
@@ -156,7 +157,8 @@ def run_figure5(
     report = Figure5Report(
         fractions=tuple(fractions), algorithms=tuple(algorithms)
     )
-    full, rng_data, rng_runs = prepare_figure5_base(config, base_size)
+    rng_data, rng_runs = spawn_rngs(config.seed, 2)
+    full = prepare_figure5_base(config, base_size, rng_data)
 
     for frac in fractions:
         subset = prepare_figure5_fraction(full, frac, rng_data)

@@ -169,7 +169,6 @@ def run_table2_cell(
         n_runs=config.n_runs,
         seed=rng,
         distances=distances,
-        engine=config.engine,
         backend=config.backend,
         n_jobs=config.n_jobs,
         batch_size=config.batch_size,

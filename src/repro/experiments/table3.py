@@ -111,14 +111,12 @@ def run_table3_cell(
     )
     # n_runs + 1 streams: the last seeds the shared tensor (when
     # applicable), so ds_rng consumption — and hence every later cell's
-    # seeds — is identical whichever engine mode (and algorithm type)
-    # ran before.
+    # seeds — is identical whichever algorithm type ran before.
     streams = spawn_rngs(ds_rng, config.n_runs + 1)
     results = fit_runs(
         algorithm,
         dataset,
         streams[:-1],
-        engine=config.engine,
         sample_seed=streams[-1],
         backend=config.backend,
         n_jobs=config.n_jobs,
@@ -152,9 +150,9 @@ def run_table3(
     Default ``config.scale`` keeps the gene count laptop-sized (the
     paper's 22k genes make the O(n^2) competitors very slow — that is
     Figure 4's point, not Table 3's).  Q is averaged over
-    ``config.n_runs`` runs per cell; with ``config.engine`` the runs
-    execute through :func:`repro.engine.fit_runs`, sharing one sample
-    tensor per (dataset, k, algorithm) cell.
+    ``config.n_runs`` runs per cell; the runs execute through
+    :func:`repro.engine.fit_runs`, sharing one sample tensor per
+    (dataset, k, algorithm) cell.
     """
     config = config or ExperimentConfig(scale=0.02)
     report = Table3Report(

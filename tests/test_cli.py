@@ -93,3 +93,24 @@ def test_parser_setup_does_not_import_quadrature():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table2", "--runs", "0"],
+        ["table3", "--scale", "2"],
+        ["sweep", "--quick", "--store", "{tmp}/store", "--runs", "0"],
+        ["figure5", "--base-size", "0"],
+    ],
+    ids=["table2-runs", "table3-scale", "sweep-runs", "figure5-base-size"],
+)
+def test_invalid_parameters_exit_2_with_one_line(argv, tmp_path, capsys):
+    """Library errors end in one ``error:`` line on stderr and exit 2."""
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if argv[0] == "figure5":
+        assert "base_size" in err

@@ -212,21 +212,6 @@ class TestBitIdentity:
         )
         assert result.objective == reference.objective  # not doubled
 
-    def test_fit_runs_reference_path_honors_explicit_matrix(self):
-        """engine=False must mean the same thing as engine=True for an
-        explicitly supplied matrix (routing-equivalence baseline)."""
-        data = _make_data()
-        scaled = 2.0 * np.asarray(data.pairwise_ed())
-        routed = fit_runs(
-            UKMedoids(3), data, [0, 1], engine=True, pairwise_ed=scaled
-        )
-        direct = fit_runs(
-            UKMedoids(3), data, [0, 1], engine=False, pairwise_ed=scaled
-        )
-        for r, d in zip(routed, direct):
-            np.testing.assert_array_equal(r.labels, d.labels)
-            assert r.objective == d.objective
-
     def test_processes_workers_use_injected_matrix(self):
         """Workers must read the published matrix, not rebuild their
         own: pin a *different* dataset's matrix and check processes
@@ -415,28 +400,29 @@ class TestProtocolThreading:
             points, labels, seed=11
         )
 
-    @pytest.mark.parametrize("engine", [True, False])
-    def test_multirun_builds_two_matrices_total(self, ed_spy, pair, engine):
+    def test_multirun_builds_two_matrices_total(self, ed_spy, pair):
         """One matrix per dataset (Case-1 perturbed, Case-2 uncertain) —
-        not one per fit — in both routing modes."""
+        not one per fit."""
         from repro.evaluation import evaluate_theta_multirun
 
-        evaluate_theta_multirun(
-            UKMedoids(3), pair, n_runs=4, seed=2, engine=engine
-        )
+        evaluate_theta_multirun(UKMedoids(3), pair, n_runs=4, seed=2)
         assert ed_spy["count"] == 2
 
     def test_multirun_engine_matches_direct_for_ukmedoids(self, pair):
-        from repro.evaluation import evaluate_theta_multirun
+        from repro.evaluation import evaluate_theta, evaluate_theta_multirun
+        from repro.evaluation.protocol import multirun_stream_plan
 
-        routed = evaluate_theta_multirun(
-            UKMedoids(3), pair, n_runs=3, seed=9, engine=True
+        routed = evaluate_theta_multirun(UKMedoids(3), pair, n_runs=3, seed=9)
+        direct = [
+            evaluate_theta(UKMedoids(3), pair, run_seed)
+            for run_seed in multirun_stream_plan(9, 3)[0]
+        ]
+        assert routed.theta_mean == float(
+            np.mean([outcome.theta for outcome in direct])
         )
-        direct = evaluate_theta_multirun(
-            UKMedoids(3), pair, n_runs=3, seed=9, engine=False
+        assert routed.quality_mean == float(
+            np.mean([outcome.quality for outcome in direct])
         )
-        assert routed.theta_mean == direct.theta_mean
-        assert routed.quality_mean == direct.quality_mean
 
     def test_evaluate_theta_uses_supplied_distances(self, ed_spy, pair):
         from repro.evaluation import evaluate_theta

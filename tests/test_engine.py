@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,17 +204,80 @@ class TestRunAll:
         assert tensor_spy["count"] == 1
 
 
+#: Table 2/3 cells of the routing cases, ``float.hex`` per value.
+ROUTING_GOLDEN = Path(__file__).with_name("engine_routing_golden.json")
+
+#: ``name -> (runner, config kwargs, grid axes)`` of the golden cases.
+ROUTING_CASES = {
+    # A sample-based algorithm early in the roster must not shift the
+    # seeds of the later moment-based cells.
+    "mixed_roster_seed_drift": (
+        "table3",
+        dict(scale=0.004, n_runs=2, seed=31, n_samples=8),
+        dict(
+            datasets=("neuroblastoma",),
+            cluster_counts=(2,),
+            algorithms=("FDB", "UKM", "MMV"),
+        ),
+    ),
+    # FDB/FOPT draw per-run tensors from their run seeds.
+    "table2_incl_density": (
+        "table2",
+        dict(scale=0.08, n_runs=2, seed=42, n_samples=8),
+        dict(
+            datasets=("iris",),
+            families=("normal",),
+            algorithms=("FDB", "FOPT", "UKM", "MMV"),
+        ),
+    ),
+    "table3_moment_based": (
+        "table3",
+        dict(scale=0.004, n_runs=2, seed=17),
+        dict(
+            datasets=("neuroblastoma",),
+            cluster_counts=(2, 3),
+            algorithms=("UKM", "MMV"),
+        ),
+    ),
+}
+
+
+def _routing_cells(name: str) -> dict:
+    """``"/"``-joined cell key -> ``float.hex`` values of one case."""
+    from repro import experiments
+
+    runner, config, axes = ROUTING_CASES[name]
+    report = getattr(experiments, f"run_{runner}")(
+        experiments.ExperimentConfig(**config), **axes
+    )
+    if runner == "table2":
+        return {
+            "/".join(key): [cell.theta.hex(), cell.quality.hex()]
+            for key, cell in report.cells.items()
+        }
+    return {
+        "/".join(map(str, key)): value.hex()
+        for key, value in report.quality.items()
+    }
+
+
 class TestExperimentEngineRouting:
     """The experiment runners route their per-run fits through the
-    engine; for moment-based algorithms the engine path must reproduce
-    the direct per-fit path measurement for measurement."""
+    engine.  ``fit_runs`` and the protocol are checked against inline
+    per-fit loops; the Table 2/3 runners against
+    ``engine_routing_golden.json``, recorded while the runners still
+    had a direct per-fit mode and both modes agreed on every cell."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(ROUTING_GOLDEN.read_text())
 
     def test_fit_runs_engine_matches_direct_for_moment_based(self, data):
         from repro.engine import fit_runs
         from repro.utils.rng import spawn_rngs
 
-        direct = fit_runs(UKMeans(4), data, spawn_rngs(7, 3), engine=False)
-        routed = fit_runs(UKMeans(4), data, spawn_rngs(7, 3), engine=True)
+        direct = [UKMeans(4).fit(data, seed=s) for s in spawn_rngs(7, 3)]
+        routed = fit_runs(UKMeans(4), data, spawn_rngs(7, 3))
         for d, e in zip(direct, routed):
             np.testing.assert_array_equal(d.labels, e.labels)
             assert d.objective == e.objective
@@ -238,13 +303,13 @@ class TestExperimentEngineRouting:
         """FDBSCAN's only randomness is the draw: fit_runs must not pin
         one tensor across its measurement runs (that would average n
         copies of a single realization) — and with per-run draws the
-        engine path equals the direct path exactly."""
+        engine path equals direct per-seed fits exactly."""
         from repro.clustering import FDBSCAN
         from repro.engine import fit_runs
 
         routed = fit_runs(FDBSCAN(n_samples=8), data, [0, 1, 2], sample_seed=9)
         assert tensor_spy["count"] == 3  # one independent draw per run
-        direct = fit_runs(FDBSCAN(n_samples=8), data, [0, 1, 2], engine=False)
+        direct = [FDBSCAN(n_samples=8).fit(data, seed=s) for s in (0, 1, 2)]
         for d, e in zip(direct, routed):
             np.testing.assert_array_equal(d.labels, e.labels)
         # Explicit opt-in to sharing is still possible (restart-style).
@@ -257,125 +322,46 @@ class TestExperimentEngineRouting:
         for result in shared[1:]:
             np.testing.assert_array_equal(shared[0].labels, result.labels)
 
-    def test_mixed_roster_seed_drift_regression(self):
+    def test_mixed_roster_seed_drift_regression(self, golden):
         """Regression: a sample-based algorithm earlier in the roster
-        must not shift the seeds of later moment-based cells across the
-        engine toggle (the shared-tensor stream is pre-spawned in both
-        modes)."""
-        from repro.experiments import ExperimentConfig, run_table3
+        must not shift the seeds of later moment-based cells (the
+        shared-tensor stream is pre-spawned for every algorithm)."""
+        name = "mixed_roster_seed_drift"
+        assert _routing_cells(name) == golden[name]
 
-        kwargs = dict(
-            datasets=("neuroblastoma",),
-            cluster_counts=(2,),
-            algorithms=("FDB", "UKM", "MMV"),
-        )
-        routed = run_table3(
-            ExperimentConfig(scale=0.004, n_runs=2, seed=31, n_samples=8, engine=True),
-            **kwargs,
-        )
-        direct = run_table3(
-            ExperimentConfig(scale=0.004, n_runs=2, seed=31, n_samples=8, engine=False),
-            **kwargs,
-        )
-        for alg in ("UKM", "MMV"):
-            key = ("neuroblastoma", 2, alg)
-            assert routed.quality[key] == direct.quality[key]
-
-    def test_table2_engine_path_identical_incl_density(self):
+    def test_table2_engine_path_identical_incl_density(self, golden):
         """Moment-based algorithms consume no tensors; FDB/FOPT draw
-        per-run independent tensors from the same run seeds either way
-        — so the whole accuracy roster is engine/direct identical."""
-        from repro.experiments import ExperimentConfig, run_table2
+        per-run independent tensors from the run seeds — so the whole
+        accuracy roster equals the per-fit reference bit for bit."""
+        name = "table2_incl_density"
+        assert _routing_cells(name) == golden[name]
 
-        kwargs = dict(
-            datasets=("iris",),
-            families=("normal",),
-            algorithms=("FDB", "FOPT", "UKM", "MMV"),
-        )
-        routed = run_table2(
-            ExperimentConfig(scale=0.08, n_runs=2, seed=42, n_samples=8, engine=True),
-            **kwargs,
-        )
-        direct = run_table2(
-            ExperimentConfig(scale=0.08, n_runs=2, seed=42, n_samples=8, engine=False),
-            **kwargs,
-        )
-        assert routed.cells.keys() == direct.cells.keys()
-        for key in routed.cells:
-            assert routed.cells[key].theta == direct.cells[key].theta
-            assert routed.cells[key].quality == direct.cells[key].quality
-
-    def test_table3_engine_path_identical_for_moment_based(self):
-        from repro.experiments import ExperimentConfig, run_table3
-
-        kwargs = dict(
-            datasets=("neuroblastoma",),
-            cluster_counts=(2, 3),
-            algorithms=("UKM", "MMV"),
-        )
-        routed = run_table3(
-            ExperimentConfig(scale=0.004, n_runs=2, seed=17, engine=True),
-            **kwargs,
-        )
-        direct = run_table3(
-            ExperimentConfig(scale=0.004, n_runs=2, seed=17, engine=False),
-            **kwargs,
-        )
-        assert routed.quality == direct.quality
-
-    def test_figure4_engine_path_measures_same_grid(self):
-        """Runtimes are wall-clock (not comparable value-for-value);
-        the engine path must measure the same (dataset, algorithm) grid
-        with positive on-line runtimes, including the density methods."""
-        from repro.experiments import ExperimentConfig, run_figure4
-
-        kwargs = dict(
-            datasets=("abalone",),
-            slow_group=("FDB", "FOPT"),
-            fast_group=("UKM",),
-            n_clusters=3,
-        )
-        routed = run_figure4(
-            ExperimentConfig(scale=0.01, n_runs=2, seed=8, n_samples=8, engine=True),
-            **kwargs,
-        )
-        direct = run_figure4(
-            ExperimentConfig(scale=0.01, n_runs=2, seed=8, n_samples=8, engine=False),
-            **kwargs,
-        )
-        assert routed.runtimes_ms.keys() == direct.runtimes_ms.keys()
-        assert all(v > 0 for v in routed.runtimes_ms.values())
-
-    def test_figure5_engine_path_measures_same_grid(self):
-        from repro.experiments import ExperimentConfig, run_figure5
-
-        kwargs = dict(fractions=(0.5, 1.0), algorithms=("UKM",), base_size=200)
-        routed = run_figure5(
-            ExperimentConfig(n_runs=1, seed=4, engine=True), **kwargs
-        )
-        direct = run_figure5(
-            ExperimentConfig(n_runs=1, seed=4, engine=False), **kwargs
-        )
-        assert routed.runtimes_ms.keys() == direct.runtimes_ms.keys()
-        assert routed.sizes == direct.sizes
+    def test_table3_engine_path_identical_for_moment_based(self, golden):
+        name = "table3_moment_based"
+        assert _routing_cells(name) == golden[name]
 
     def test_protocol_engine_path_identical_for_moment_based(self, data):
         from repro.datagen.uncertainty_gen import UncertaintyGenerator
-        from repro.evaluation.protocol import evaluate_theta_multirun
+        from repro.evaluation.protocol import (
+            evaluate_theta,
+            evaluate_theta_multirun,
+            multirun_stream_plan,
+        )
 
-        points = data.mu_matrix
-        labels = data.labels
         pair = UncertaintyGenerator(family="normal").generate(
-            points, labels, seed=0
+            data.mu_matrix, data.labels, seed=0
         )
-        routed = evaluate_theta_multirun(
-            UKMeans(4), pair, n_runs=3, seed=13, engine=True
+        routed = evaluate_theta_multirun(UKMeans(4), pair, n_runs=3, seed=13)
+        direct = [
+            evaluate_theta(UKMeans(4), pair, run_seed)
+            for run_seed in multirun_stream_plan(13, 3)[0]
+        ]
+        assert routed.theta_mean == float(
+            np.mean([outcome.theta for outcome in direct])
         )
-        direct = evaluate_theta_multirun(
-            UKMeans(4), pair, n_runs=3, seed=13, engine=False
+        assert routed.quality_mean == float(
+            np.mean([outcome.quality for outcome in direct])
         )
-        assert routed.theta_mean == direct.theta_mean
-        assert routed.quality_mean == direct.quality_mean
 
 
 class TestFitBest:
@@ -391,3 +377,15 @@ class TestFitBest:
         )
         assert result.extras["n_init"] == 4
         assert result.extras["shared_samples"] is True
+
+
+if __name__ == "__main__":
+    ROUTING_GOLDEN.write_text(
+        json.dumps(
+            {name: _routing_cells(name) for name in ROUTING_CASES},
+            indent=1,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    print(f"wrote {ROUTING_GOLDEN}")

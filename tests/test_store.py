@@ -220,6 +220,34 @@ class TestAtomicWrite:
         assert target.read_text() == "two\n"
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_second_writer_inside_first_fsync(self, tmp_path, monkeypatch):
+        """Two workers creating one store both write ``manifest.json``:
+        a second write landing inside the first one's fsync must not
+        rename the first writer's tmp file away from under it."""
+        target = tmp_path / "manifest.json"
+        real_fsync = os.fsync
+        interleaved = []
+
+        def racing_fsync(fd):
+            real_fsync(fd)
+            if not interleaved:
+                interleaved.append(fd)
+                atomic_write(target, "second\n")
+
+        monkeypatch.setattr(os, "fsync", racing_fsync)
+        atomic_write(target, "first\n")
+        assert interleaved
+        assert target.read_text() == "first\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_json_discards_stray_manifest_tmp(self, tmp_path):
+        store = JsonStore(tmp_path / "store")
+        store.prepare({"schema": SWEEP_SCHEMA_VERSION, "surfaces": {}}, False)
+        (store.path / "manifest.json.0123abcd.tmp").write_text("{half")
+        assert store.discard_stray_tmp() == ["manifest.json.0123abcd.tmp"]
+        assert store.read_manifest() is not None
+        store.close()
+
 
 # ----------------------------------------------------------------------
 # Backend resolution

@@ -10,9 +10,11 @@ each dataset's off-line caches (moment matrices, sampling plan, pairwise
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.engine.sweep import (
@@ -255,6 +257,77 @@ class TestResume:
             [stale.stem, missing.stem]
         )
         assert _tree_bytes(clean) == _tree_bytes(store)
+
+
+class TestFigureResume:
+    """A resumed figure surface re-runs a deleted cell on the dataset
+    and stream state of the uninterrupted walk.  Figure 5's fractions
+    share one data stream that no fingerprint covers, so a walk that
+    skipped the subset draw of a fully cached fraction would hand the
+    later fractions different subsets without any cell noticing."""
+
+    CONFIG = ExperimentConfig(
+        scale=0.02, max_objects=60, n_runs=1, n_samples=8, seed=3
+    )
+
+    def _spy(self, monkeypatch, module, name):
+        """Record ``(alg, mu digest, stream fingerprint)`` per cell run."""
+        from repro.engine.store import seed_fingerprint
+
+        calls = []
+        original = getattr(module, name)
+
+        def spy(alg, dataset, k, stream, config):
+            mu = np.ascontiguousarray(dataset.mu_matrix)
+            digest = hashlib.sha256(mu.tobytes()).hexdigest()
+            calls.append((alg, digest, seed_fingerprint(stream)))
+            return original(alg, dataset, k, stream, config)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("surface", ["figure4", "figure5"])
+    def test_deleted_cell_reruns_on_identical_inputs(
+        self, tmp_path, monkeypatch, surface
+    ):
+        import repro.experiments.figure4 as figure4_module
+        import repro.experiments.figure5 as figure5_module
+
+        if surface == "figure4":
+            grid = SweepGrid(
+                figure4=Figure4Spec(config=self.CONFIG, datasets=("abalone",))
+            )
+            module = figure4_module
+            victim = cell_id("figure4", ("abalone",), ("UKM",))
+        else:
+            # The last fraction below 1.0: fraction 1.0 is the full
+            # dataset and draws nothing.
+            grid = SweepGrid(
+                figure5=Figure5Spec(
+                    config=self.CONFIG,
+                    fractions=(0.25, 0.5),
+                    algorithms=("UKM", "MMV"),
+                    base_size=1500,
+                )
+            )
+            module = figure5_module
+            victim = cell_id("figure5", ("f0.5",), ("UKM",))
+        calls = self._spy(monkeypatch, module, f"run_{surface}_cell")
+        store = tmp_path / "store"
+        clean = run_sweep(grid, store)
+        inputs = dict(zip(clean.executed, calls))
+        assert len(inputs) == len(calls) > 2
+        (store / "cells" / f"{victim}.json").unlink()
+        calls.clear()
+        resumed = run_sweep(grid, store, resume=True)
+        assert resumed.executed == [victim]
+        assert resumed.invalid == []
+        assert calls == [inputs[victim]]
+        clean_report = getattr(clean, surface)
+        resumed_report = getattr(resumed, surface)
+        assert set(resumed_report.runtimes_ms) == set(clean_report.runtimes_ms)
+        if surface == "figure5":
+            assert resumed_report.sizes == clean_report.sizes
 
 
 class TestStoreSafety:
