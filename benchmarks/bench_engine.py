@@ -43,7 +43,10 @@ Pins the claims the engine layer makes:
   ``BasicUKMeans`` bit for bit at n=100_000 (S=32, m=8, k=20) while
   running >= 2x faster (measured ~5x on the reference box), and the
   bound counters prove >= 50% of assignment-row ED evaluations are
-  skipped at n=20_000.
+  skipped at n=20_000;
+* VDBiP's certified GEMM bisector screen builds the Figure 5-shaped
+  mask (n=2000, m=42, k=23) >= 2x faster than the literal per-pair
+  loop it replaced — with an identical mask.
 """
 
 from __future__ import annotations
@@ -710,4 +713,30 @@ def test_bounded_ukmeans_scale_speedup_floor():
         f"bounded UK-means speedup {speedup:.2f}x below the 2x floor "
         f"(bounded {bounded.runtime_seconds:.1f} s, "
         f"basic {basic.runtime_seconds:.1f} s)"
+    )
+
+
+# ----------------------------------------------------------------------
+# VDBiP bisector mask: certified GEMM screen vs the literal pair loop.
+# ----------------------------------------------------------------------
+def test_vdbip_mask_speedup_floor():
+    """Acceptance pin: the screen builds the Figure 5-shaped mask >= 2x
+    faster than the per-pair loop over the literal helper, and the two
+    masks are identical."""
+    from run_bench import literal_vdbip_mask, vdbip_mask_inputs
+
+    from repro.clustering import VDBiP
+
+    lower, upper, centers = vdbip_mask_inputs(N_OBJECTS)
+    vdbip = VDBiP(23)
+    np.testing.assert_array_equal(
+        vdbip._candidate_mask(lower, upper, centers),
+        literal_vdbip_mask(lower, upper, centers),
+    )
+    screen = _best_of(lambda: vdbip._candidate_mask(lower, upper, centers), 3)
+    literal = _best_of(lambda: literal_vdbip_mask(lower, upper, centers), 2)
+    speedup = literal / screen
+    assert speedup >= 2.0, (
+        f"VDBiP mask speedup {speedup:.1f}x below the 2x floor "
+        f"(screen {screen * 1e3:.1f} ms, literal {literal * 1e3:.1f} ms)"
     )

@@ -33,7 +33,10 @@ The measurement roster mirrors ``benchmarks/bench_engine.py``:
   seeds, bit-identical labels — the record carries the measured
   speedup and ED skip rate) plus the lossy mini-batch UK-means fit;
 * the columnar uncertainty generator (Section 5.1) at the Figure 5
-  shape (n=2000, m=42), one row per pdf family.
+  shape (n=2000, m=42), one row per pdf family;
+* VDBiP's bisector mask at the Figure 5 shape (n=2000, m=42, k=23):
+  the certified GEMM screen vs the literal per-pair loop over the same
+  helper it falls back to (identical masks, asserted).
 
 Timings are best-of-``repeats`` wall clock; the JSON also records the
 machine shape (cores, python, numpy) so numbers are comparable only
@@ -60,7 +63,15 @@ except ImportError:  # pragma: no cover - direct invocation convenience
 
 import numpy as np
 
-from repro.clustering import FDBSCAN, UAHC, UKMeans, BasicUKMeans, UKMedoids
+from repro.clustering import (
+    FDBSCAN,
+    UAHC,
+    VDBiP,
+    BasicUKMeans,
+    UKMeans,
+    UKMedoids,
+)
+from repro.clustering.pruning import _bisector_max
 from repro.datagen import PDF_FAMILIES, UncertaintyGenerator, make_blobs_uncertain
 from repro.datagen.benchmarks import make_classification_like
 from repro.engine import MultiRestartRunner
@@ -70,7 +81,7 @@ from repro.objects import UncertainDataset, UncertainObject
 from repro.utils.rng import ensure_rng
 
 #: Bumped whenever a measurement's name or meaning changes.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: The fixed measurement roster.  ``run_benchmarks`` must emit exactly
 #: these names; the overwrite guard in :func:`main` compares an existing
@@ -98,6 +109,8 @@ MEASUREMENT_NAMES = (
     "uncertainty_generate_uniform",
     "uncertainty_generate_normal",
     "uncertainty_generate_exponential",
+    "vdbip_candidate_mask",
+    "vdbip_candidate_mask_literal",
 )
 
 
@@ -200,6 +213,35 @@ def populate_synthetic_store(
             )
             written += 1
         group_idx += 1
+
+
+def vdbip_mask_inputs(n_objects: int, seed: int = 0):
+    """Figure 5-shaped ``(lower, upper, centers)``: KDD-like boxes with
+    m=42 and k=23 centroids drawn from the objects' means."""
+    points, labels = make_classification_like(
+        n_objects=n_objects, n_attributes=42, n_classes=23, seed=seed
+    )
+    data = UncertaintyGenerator("normal", mass=0.95).uncertain_dataset(
+        points, labels, seed=seed
+    )
+    rows = np.random.default_rng(seed).choice(n_objects, 23, replace=False)
+    return data.support_lower, data.support_upper, data.mu_matrix[rows]
+
+
+def literal_vdbip_mask(lower, upper, centers):
+    """VDBiP's bisector mask as the per-pair loop over the literal
+    helper: the baseline of the GEMM screen, and its reference."""
+    n, k = lower.shape[0], centers.shape[0]
+    center_sq = np.einsum("cj,cj->c", centers, centers)
+    candidates = np.ones((n, k), dtype=bool)
+    for j in range(k):
+        for l in range(k):
+            if l != j:
+                a = -2.0 * (centers[j] - centers[l])
+                b = center_sq[j] - center_sq[l]
+                candidates[_bisector_max(lower, upper, a, b) < 0.0, l] = False
+    candidates[~candidates.any(axis=1)] = True
+    return candidates
 
 
 def aggregate_store(store: ResultStore):
@@ -518,6 +560,29 @@ def run_benchmarks(quick: bool = False) -> List[Dict[str, object]]:
             n=n_gen,
             m=42,
         )
+
+    # --- VDBiP bisector mask (Figure 5 shape) --------------------------
+    n_mask = int(2000 * scale)
+    lower, upper, centers = vdbip_mask_inputs(n_mask)
+    vdbip = VDBiP(23)
+    screened = vdbip._candidate_mask(lower, upper, centers)
+    assert np.array_equal(screened, literal_vdbip_mask(lower, upper, centers))
+    screen_s = _best_of(
+        lambda: vdbip._candidate_mask(lower, upper, centers), repeats
+    )
+    literal_s = _best_of(
+        lambda: literal_vdbip_mask(lower, upper, centers), repeats
+    )
+    record(
+        "vdbip_candidate_mask",
+        screen_s,
+        n=n_mask,
+        m=42,
+        k=23,
+        speedup=literal_s / screen_s,
+        pruned_frac=float(1.0 - screened.mean()),
+    )
+    record("vdbip_candidate_mask_literal", literal_s, n=n_mask, m=42, k=23)
 
     # --- hierarchical ------------------------------------------------
     n_uahc = int(300 * scale)

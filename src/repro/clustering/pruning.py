@@ -251,6 +251,36 @@ class MinMaxBB(_PruningUKMeansBase):
         return min_dist <= threshold[:, None]
 
 
+#: Elements per ``(rows, k*k)`` screen temporary of
+#: :meth:`VDBiP._candidate_mask`; bounds the block of object rows screened
+#: at once (the memory knob, like ``DENSITY_BLOCK_ELEMENTS``).
+MASK_BLOCK_ELEMENTS: int = 1 << 14
+
+_EPS = float(np.finfo(np.float64).eps)
+#: Safety factor ``c`` of the screen margin ``c * (m + 2) * eps * T``.
+_MARGIN_C = 2.0
+#: Error-scale range inside which the screen decides; entries whose
+#: ``T`` falls outside (underflow scale, overflow scale, inf, NaN) are
+#: recomputed by the literal formula.
+_SCREEN_TINY = float(np.finfo(np.float64).tiny) / _EPS
+_SCREEN_HUGE = float(np.finfo(np.float64).max) / 256.0
+
+
+def _bisector_max(
+    lower: np.ndarray, upper: np.ndarray, a: np.ndarray, b
+) -> np.ndarray:
+    """Literal per-row maximum of ``h(x) = a·x + b`` over boxes.
+
+    Picks the upper box corner where ``a > 0`` and the lower one
+    otherwise, then sums each row.  ``a`` is one ``(m,)`` normal shared by
+    every row or one ``(rows, m)`` normal per row (``b`` likewise a
+    scalar or per-row).  This is the reference arithmetic of VDBiP's
+    bisector test: the mask screen falls back to it, and tests and
+    benchmarks use it as the baseline.
+    """
+    return np.where(a > 0, upper * a, lower * a).sum(axis=1) + b
+
+
 class VDBiP(_PruningUKMeansBase):
     """Voronoi-diagram bisector pruning UK-means [11].
 
@@ -262,6 +292,10 @@ class VDBiP(_PruningUKMeansBase):
     so ``c_l`` can never be the closest centroid and is pruned.  An
     object whose box falls entirely inside one Voronoi cell is assigned
     with zero ED evaluations.
+
+    The mask is computed by a certified GEMM screen whose result is
+    bit-identical to evaluating :func:`_bisector_max` for every pair
+    (see :meth:`_candidate_mask`).
     """
 
     name = "VDBiP"
@@ -272,26 +306,133 @@ class VDBiP(_PruningUKMeansBase):
         boxes_upper: np.ndarray,
         centers: np.ndarray,
     ) -> np.ndarray:
-        n = boxes_lower.shape[0]
+        """Bisector mask: ``c_l`` is pruned for an object when ``max_h <
+        0`` for some ``j != l``, where ``max_h`` is the literal
+        :func:`_bisector_max` of pair ``(j, l)`` — decided by GEMMs over
+        blocks of object rows and recomputed literally wherever they
+        cannot certify its sign.
+
+        **Screen.**  With ``A = -2 (c_j - c_l)`` and ``B = |c_j|^2 -
+        |c_l|^2`` for all ``k^2`` pairs (the literal ``a`` and ``b``,
+        bit for bit: the same elementwise operations), ``A+`` equal to
+        ``A`` where ``A > 0`` and 0 elsewhere, and ``A- = A - A+``, GEMMs
+        give an estimate of ``max_h`` and an error scale:
+
+            S = up @ A+^T + lo @ A-^T + B
+            T = |up| @ A+^T - |lo| @ A-^T + |B|.
+
+        An entry is pruned if ``S < -margin``, kept if ``S > margin``,
+        with ``margin = c (m + 2) eps T`` (``c = 2``); every other entry
+        is recomputed by :func:`_bisector_max` on its row.
+
+        **Proof that the screen equals the literal test.**  Let ``u =
+        eps / 2`` be the unit roundoff and ``gamma_n = n u / (1 - n u)``.
+        Fix an object and a pair; let ``p_i`` be the exact products
+        ``up_i a_i`` (``a_i > 0``) or ``lo_i a_i`` (``a_i <= 0``), ``x =
+        sum p_i`` and ``X = sum |p_i|``.
+
+        1. *Both sums are within ``gamma`` of ``x``.*  The literal sum
+           ``x_L`` (numpy's pairwise row sum) is a floating-point inner
+           product of length ``m``, so ``|x_L - x| <= gamma_m X`` (Higham,
+           Accuracy and Stability, eq. 3.5).  The screen's ``x_S`` is the
+           rounded sum of two such inner products, in any BLAS order, FMA
+           or not, whose terms are the ``p_i`` and exact zeros; so
+           ``|x_S - x| <= gamma_m+1 X <= gamma_2m X``.
+        2. *The final add keeps the sign.*  The literal value is
+           ``fl(x_L + b)``.  Rounding is monotone and zero is
+           representable; with gradual underflow the exact sum of two
+           doubles is representable whenever it is subnormal.  So
+           ``fl(x_L + b) < 0`` iff ``x_L + b < 0``, and it is zero only
+           when ``x_L + b`` is exactly zero.
+        3. *``c`` covers ``T`` and the ``+B`` rounding.*  ``T``'s terms
+           are the ``|p_i|``, all non-negative (subtracting ``|lo| @
+           A-^T <= 0`` adds magnitudes), so the computed ``T >= (1 -
+           gamma_2m+1)(X + |b|) >= (1 - gamma_2m+1) X``.  ``S =
+           fl(x_S + b) = (x_S + b)(1 + d)`` with ``|d| <= u``; the margin
+           itself is one rounded product (``c (m + 2) eps`` is exact).
+           If ``S < -margin`` then
+           ``x_L + b <= S / (1 + u) + (gamma_m + gamma_2m) X
+           <= -(1 - u)/(1 + u) * 4 (m + 2) u T + 3 m u (1 + O(m u)) T
+           < 0``,
+           and symmetrically ``S > margin`` gives ``x_L + b > 0``.  The
+           slack ``(m + 8) u T`` left by ``c = 2`` also absorbs the
+           ``O(m u^2)`` terms.
+        4. *Underflow, overflow and non-finite values go to the
+           fallback.*  A product that underflows adds an absolute error
+           of at most ``2^-1075``; entries with ``T < tiny / eps`` are
+           recomputed, and above that the slack ``(m + 8) u T >= (m + 8)
+           2^-1023`` dwarfs the ``3 m 2^-1075`` of underflow.  Entries
+           with ``T > max / 256`` (a partial sum of the literal could
+           overflow) or a non-finite ``S`` or ``T`` are recomputed.  So
+           is every row with a non-finite box bound, whatever BLAS makes
+           of ``inf * 0``.  A pair with a non-finite ``A`` always has a
+           non-finite ``B`` (an overflowing difference implies an
+           overflowing squared norm), and numpy adds ``|B|`` to ``T``
+           itself, so such pairs never pass the ``T`` test.
+
+        Diagonal pairs (``j = l``) are never pruned, as in the literal
+        pair loop.  ``pruned[i, l]`` is the OR over ``j``; the literal
+        fallback runs on C-ordered row copies, whose row sums equal the
+        per-pair loop's.  The screen's ``(rows, k^2)`` temporaries cover
+        ``MASK_BLOCK_ELEMENTS // k^2`` object rows at a time.
+        """
+        lower = np.ascontiguousarray(boxes_lower, dtype=np.float64)
+        upper = np.ascontiguousarray(boxes_upper, dtype=np.float64)
+        n, m = lower.shape
         k = centers.shape[0]
         center_sq = np.einsum("cj,cj->c", centers, centers)
+        a = (-2.0 * (centers[:, None, :] - centers[None, :, :])).reshape(k * k, m)
+        b = (center_sq[:, None] - center_sq[None, :]).reshape(k * k)
+        a_pos = np.where(a > 0, a, 0.0).T  # A+
+        a_neg = np.where(a > 0, 0.0, a).T  # A-
+        abs_b = np.abs(b)
+        off_diagonal = ~np.eye(k, dtype=bool).reshape(k * k)
+        scale = _MARGIN_C * (m + 2) * _EPS
+
         candidates = np.ones((n, k), dtype=bool)
-        for j in range(k):
-            for l in range(k):
-                if l == j:
-                    continue
-                # h(x) = a·x + b with a = -2 (c_j - c_l), b = |c_j|^2 - |c_l|^2;
-                # max over box per dimension picks lower/upper by sign of a.
-                a = -2.0 * (centers[j] - centers[l])
-                b = center_sq[j] - center_sq[l]
-                max_h = (
-                    np.where(a > 0, boxes_upper * a, boxes_lower * a).sum(axis=1) + b
-                )
-                # Box strictly on c_j's side of the (j, l) bisector:
-                # c_l cannot be closest for these objects.
-                candidates[max_h < 0.0, l] = False
+        block = max(1, MASK_BLOCK_ELEMENTS // (k * k))
+        for start in range(0, n, block):
+            rows = slice(start, min(start + block, n))
+            up, lo = upper[rows], lower[rows]
+            # Non-finite S and T are routed to the fallback, not errors.
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = np.matmul(up, a_pos)  # S
+                value += np.matmul(lo, a_neg)
+                value += b
+                margin = np.matmul(np.abs(up), a_pos)  # T
+                margin -= np.matmul(np.abs(lo), a_neg)
+                margin += abs_b
+                decided = (margin >= _SCREEN_TINY) & (margin <= _SCREEN_HUGE)
+                margin *= scale
+            decided &= (np.isfinite(up) & np.isfinite(lo)).all(axis=1)[:, None]
+            pruned = value < -margin
+            pruned &= decided
+            unsure = (value > margin) | pruned
+            unsure &= decided
+            np.logical_not(unsure, out=unsure)
+            unsure &= off_diagonal
+            self._recompute(pruned, unsure, lo, up, a, b)
+            candidates[rows] = ~pruned.reshape(-1, k, k).any(axis=1)
         # Safety net (degenerate equalities): keep at least one candidate.
         dead = ~candidates.any(axis=1)
         if dead.any():
             candidates[dead] = True
         return candidates
+
+    @staticmethod
+    def _recompute(
+        pruned: np.ndarray,
+        unsure: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+    ) -> None:
+        """Decide the ``unsure`` entries of ``pruned`` with the literal
+        :func:`_bisector_max`, ``MASK_BLOCK_ELEMENTS // m`` at a time."""
+        obj, pair = np.nonzero(unsure)
+        chunk = max(1, MASK_BLOCK_ELEMENTS // max(1, a.shape[1]))
+        for start in range(0, obj.size, chunk):
+            i = obj[start : start + chunk]
+            p = pair[start : start + chunk]
+            pruned[i, p] = _bisector_max(lower[i], upper[i], a[p], b[p]) < 0.0

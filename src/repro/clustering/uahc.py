@@ -45,7 +45,7 @@ from repro.clustering.base import (
     UncertainClusterer,
     validate_n_clusters,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, NumericalError
 from repro.objects.dataset import UncertainDataset
 from repro.objects.distance import pairwise_squared_expected_distances
 from repro.utils.timer import Stopwatch
@@ -174,6 +174,11 @@ class UAHC(UncertainClusterer):
             if a > b:
                 a, b = b, a
             height = float(prox[a, b])
+            if not np.isfinite(height):
+                raise NumericalError(
+                    f"{self.name}: merge height {height} at {n_active} "
+                    "clusters is not finite (overflow-scale input?)"
+                )
             # Merge b into a.
             mu_sum[a] += mu_sum[b]
             mu2_sum[a] += mu2_sum[b]

@@ -44,6 +44,15 @@ class NotFittedError(ReproError, RuntimeError):
     """A result attribute was accessed before the model was fitted."""
 
 
+class NumericalError(ReproError, ArithmeticError):
+    """A computation left the finite floating-point range.
+
+    Raised instead of returning a result built on non-finite values —
+    for example when every proximity of an agglomeration overflows, so
+    no merge can be chosen.
+    """
+
+
 class ConvergenceWarning(UserWarning):
     """A clustering run hit its iteration cap before converging."""
 

@@ -67,8 +67,11 @@ def test_run_bench_quick_emits_schema_json(tmp_path):
         "uahc_jeffreys_fit",
         "store_aggregate_sqlite",
         "store_aggregate_json",
+        "vdbip_candidate_mask",
+        "vdbip_candidate_mask_literal",
     } <= names
     assert by_name["store_aggregate_sqlite"]["speedup"] > 0
+    assert by_name["vdbip_candidate_mask"]["speedup"] > 0
     assert all(entry["seconds"] > 0 for entry in payload["benchmarks"])
 
 

@@ -292,3 +292,19 @@ class TestUAHC:
     def test_invalid_k(self, mixed_dataset):
         with pytest.raises(InvalidParameterError):
             UAHC(n_clusters=10).fit(mixed_dataset)
+
+    @pytest.mark.parametrize("linkage", ["jeffreys", "ed"])
+    def test_overflow_scale_input_raises_numerical_error(self, linkage):
+        """At coordinates of order 1e154 every proximity overflows; the
+        merge loop must refuse with a typed error instead of merging a
+        cluster into itself (a bare ``KeyError`` before)."""
+        from repro.exceptions import NumericalError, ReproError
+        from repro.objects import UncertainDataset
+
+        points = np.random.default_rng(0).normal(size=(12, 3)) * 1e154
+        data = UncertainDataset.from_points(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as caught:
+                UAHC(n_clusters=3, linkage=linkage).fit(data)
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value, ArithmeticError)
