@@ -46,7 +46,11 @@ Pins the claims the engine layer makes:
   skipped at n=20_000;
 * VDBiP's certified GEMM bisector screen builds the Figure 5-shaped
   mask (n=2000, m=42, k=23) >= 2x faster than the literal per-pair
-  loop it replaced — with an identical mask.
+  loop it replaced — with an identical mask;
+* the screened UCPC / MMVar relocation sweep runs the Figure 5-shaped
+  fit (n=2000, m=42, k=23) >= 1.5x (UCPC) and >= 1.3x (MMVar) faster
+  than the plain per-object loop it replaced — with identical labels
+  and objective history.
 """
 
 from __future__ import annotations
@@ -740,3 +744,28 @@ def test_vdbip_mask_speedup_floor():
         f"VDBiP mask speedup {speedup:.1f}x below the 2x floor "
         f"(screen {screen * 1e3:.1f} ms, literal {literal * 1e3:.1f} ms)"
     )
+
+
+# ----------------------------------------------------------------------
+# UCPC / MMVar relocation: screened sweep vs the plain per-object loop.
+# ----------------------------------------------------------------------
+def test_relocation_speedup_floor():
+    """Acceptance pin: at the Figure 5 shape (n=2000, m=42, k=23) the
+    screened relocation sweep runs >= 1.5x (UCPC) and >= 1.3x (MMVar)
+    faster than the plain per-object loop it replaced — with identical
+    labels and objective history (asserted inside ``time_relocation``)."""
+    from run_bench import time_relocation
+
+    from repro.clustering._relocation import MMVAR_OBJECTIVE, UCPC_OBJECTIVE
+
+    for name, objective, floor in (
+        ("UCPC", UCPC_OBJECTIVE, 1.5),
+        ("MMVar", MMVAR_OBJECTIVE, 1.3),
+    ):
+        screened, plain, skipped = time_relocation(objective, N_OBJECTS, 3)
+        speedup = plain / screened
+        assert speedup >= floor, (
+            f"{name} relocation speedup {speedup:.2f}x below the {floor}x "
+            f"floor (screened {screened * 1e3:.0f} ms, plain "
+            f"{plain * 1e3:.0f} ms, {skipped:.0%} of steps skipped)"
+        )

@@ -36,7 +36,11 @@ The measurement roster mirrors ``benchmarks/bench_engine.py``:
   shape (n=2000, m=42), one row per pdf family;
 * VDBiP's bisector mask at the Figure 5 shape (n=2000, m=42, k=23):
   the certified GEMM screen vs the literal per-pair loop over the same
-  helper it falls back to (identical masks, asserted).
+  helper it falls back to (identical masks, asserted);
+* the UCPC and MMVar relocation kernel at the Figure 5 shape (n=2000,
+  m=42, k=23): the screened sweep vs a verbatim copy of the plain
+  per-object loop it replaced (identical labels and objective history,
+  asserted).
 
 Timings are best-of-``repeats`` wall clock; the JSON also records the
 machine shape (cores, python, numpy) so numbers are comparable only
@@ -71,9 +75,14 @@ from repro.clustering import (
     UKMeans,
     UKMedoids,
 )
+from repro.clustering._relocation import (
+    MMVAR_OBJECTIVE,
+    UCPC_OBJECTIVE,
+    relocate,
+)
 from repro.clustering.pruning import _bisector_max
 from repro.datagen import PDF_FAMILIES, UncertaintyGenerator, make_blobs_uncertain
-from repro.datagen.benchmarks import make_classification_like
+from repro.datagen.benchmarks import make_benchmark, make_classification_like
 from repro.engine import MultiRestartRunner
 from repro.engine.store import SWEEP_SCHEMA_VERSION, ResultStore, open_store
 from repro.exceptions import ConvergenceWarning
@@ -81,7 +90,7 @@ from repro.objects import UncertainDataset, UncertainObject
 from repro.utils.rng import ensure_rng
 
 #: Bumped whenever a measurement's name or meaning changes.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: The fixed measurement roster.  ``run_benchmarks`` must emit exactly
 #: these names; the overwrite guard in :func:`main` compares an existing
@@ -111,6 +120,8 @@ MEASUREMENT_NAMES = (
     "uncertainty_generate_exponential",
     "vdbip_candidate_mask",
     "vdbip_candidate_mask_literal",
+    "ucpc_relocation",
+    "mmvar_relocation",
 )
 
 
@@ -242,6 +253,125 @@ def literal_vdbip_mask(lower, upper, centers):
                 candidates[_bisector_max(lower, upper, a, b) < 0.0, l] = False
     candidates[~candidates.any(axis=1)] = True
     return candidates
+
+
+def relocation_inputs(n_objects: int, k: int = 23, seed: int = 0):
+    """Figure 5-shaped relocation input: KDD-like data (m=42) and a
+    random starting partition into ``k`` non-empty clusters."""
+    points, labels = make_benchmark(
+        "kddcup99", scale=n_objects / 4_000_000, seed=seed
+    )
+    data = UncertaintyGenerator("normal").uncertain_dataset(
+        points, labels, seed=seed
+    )
+    start = np.random.default_rng(seed).integers(0, k, len(data))
+    start[:k] = np.arange(k)
+    return data, start
+
+
+def plain_relocate(
+    dataset, assignment, k, rng, objective, max_iter, min_improvement
+):
+    """The relocation sweep before the non-mover screen, verbatim: one
+    literal step per object per sweep.  The baseline of the screened
+    kernel, and its reference (labels and history must be equal)."""
+    assignment = assignment.copy()
+    cluster_j, floor = objective.cluster_j, objective.floor
+    sigma2_tot = dataset.sigma2_matrix.sum(axis=1)
+    mu2_tot = dataset.mu2_matrix.sum(axis=1)
+    mu = dataset.mu_matrix
+    mu_norm_sq = np.einsum("ij,ij->i", mu, mu)
+
+    counts = np.bincount(assignment, minlength=k).astype(np.float64)
+    psi_tot = np.zeros(k)
+    phi_tot = np.zeros(k)
+    mean_sums = np.zeros((k, dataset.dim))
+    np.add.at(psi_tot, assignment, sigma2_tot)
+    np.add.at(phi_tot, assignment, mu2_tot)
+    np.add.at(mean_sums, assignment, mu)
+    ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
+
+    def objectives_vector() -> np.ndarray:
+        safe = np.maximum(counts, 1.0)
+        per = np.maximum(cluster_j(psi_tot, phi_tot, ups, safe), floor)
+        return np.where(counts > 0, per, 0.0)
+
+    objectives = objectives_vector()
+    history = [float(objectives.sum())]
+
+    iterations = 0
+    converged = False
+    for _ in range(max_iter):
+        iterations += 1
+        moved = 0
+        threshold = -min_improvement * max(1.0, abs(history[-1]))
+        for idx in rng.permutation(len(dataset)):
+            idx = int(idx)
+            own = int(assignment[idx])
+            if counts[own] <= 1.0:
+                continue
+            s = sigma2_tot[idx]
+            p = mu2_tot[idx]
+            cross = mean_sums @ mu[idx]
+            j_with = cluster_j(
+                psi_tot + s,
+                phi_tot + p,
+                ups + 2.0 * cross + mu_norm_sq[idx],
+                counts + 1.0,
+            )
+            j_without = cluster_j(
+                psi_tot[own] - s,
+                phi_tot[own] - p,
+                ups[own] - 2.0 * cross[own] + mu_norm_sq[idx],
+                counts[own] - 1.0,
+            )
+            delta = (j_without - objectives[own]) + (j_with - objectives)
+            delta[own] = 0.0
+            best = int(np.argmin(delta))
+            if best != own and delta[best] < threshold:
+                counts[own] -= 1.0
+                counts[best] += 1.0
+                psi_tot[own] -= s
+                psi_tot[best] += s
+                phi_tot[own] -= p
+                phi_tot[best] += p
+                mean_sums[own] -= mu[idx]
+                mean_sums[best] += mu[idx]
+                ups[own] = ups[own] - 2.0 * cross[own] + mu_norm_sq[idx]
+                ups[best] = ups[best] + 2.0 * cross[best] + mu_norm_sq[idx]
+                objectives[own] = max(j_without, floor)
+                objectives[best] = max(float(j_with[best]), floor)
+                assignment[idx] = best
+                moved += 1
+        ups = np.einsum("cj,cj->c", mean_sums, mean_sums)
+        objectives = objectives_vector()
+        history.append(float(objectives.sum()))
+        if moved == 0:
+            converged = True
+            break
+    return assignment, history, iterations, converged
+
+
+def time_relocation(objective, n_objects: int, repeats: int):
+    """Best-of-``repeats`` seconds of the screened and the plain sweep on
+    the same input, after asserting that their results are identical.
+    Returns ``(screened_s, plain_s, skipped_fraction)``."""
+    data, start = relocation_inputs(n_objects)
+
+    def run(kernel):
+        return kernel(
+            data, start, 23, np.random.default_rng(1), objective, 100, 1e-12
+        )
+
+    screened, plain = run(relocate), run(plain_relocate)
+    assert screened.labels.tolist() == plain[0].tolist()
+    assert [v.hex() for v in screened.history] == [v.hex() for v in plain[1]]
+    steps = len(data) * screened.sweeps
+    return (
+        _best_of(lambda: run(relocate), repeats),
+        _best_of(lambda: run(plain_relocate), repeats),
+        screened.skipped / steps,
+    )
 
 
 def aggregate_store(store: ResultStore):
@@ -583,6 +713,26 @@ def run_benchmarks(quick: bool = False) -> List[Dict[str, object]]:
         pruned_frac=float(1.0 - screened.mean()),
     )
     record("vdbip_candidate_mask_literal", literal_s, n=n_mask, m=42, k=23)
+
+    # --- UCPC / MMVar relocation kernel (Figure 5 shape) ---------------
+    n_relocation = int(2000 * scale)
+    for name, objective in (
+        ("ucpc", UCPC_OBJECTIVE),
+        ("mmvar", MMVAR_OBJECTIVE),
+    ):
+        screened_s, plain_s, skipped = time_relocation(
+            objective, n_relocation, repeats
+        )
+        record(
+            f"{name}_relocation",
+            screened_s,
+            n=n_relocation,
+            m=42,
+            k=23,
+            speedup=plain_s / screened_s,
+            plain_seconds=plain_s,
+            skipped_frac=skipped,
+        )
 
     # --- hierarchical ------------------------------------------------
     n_uahc = int(300 * scale)

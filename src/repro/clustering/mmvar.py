@@ -77,7 +77,7 @@ class MMVar(UncertainClusterer):
 
         watch = Stopwatch()
         with watch.running():
-            assignment, history, iterations, converged = relocate(
+            run = relocate(
                 dataset,
                 assignment,
                 k,
@@ -86,15 +86,19 @@ class MMVar(UncertainClusterer):
                 self.max_iter,
                 self.min_improvement,
             )
-        if not converged:
+        if not run.converged:
             warn_convergence(
                 f"MMVar hit max_iter={self.max_iter} before convergence"
             )
         return ClusteringResult(
-            labels=assignment,
-            objective=history[-1],
-            n_iterations=iterations,
-            converged=converged,
+            labels=run.labels,
+            objective=run.history[-1],
+            n_iterations=run.sweeps,
+            converged=run.converged,
             runtime_seconds=watch.elapsed_seconds,
-            objective_history=history,
+            objective_history=run.history,
+            extras={
+                "moves_per_sweep": run.moves_per_sweep,
+                "relocation_skipped": run.skipped,
+            },
         )

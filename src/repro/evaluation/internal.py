@@ -85,11 +85,21 @@ def internal_scores(
     if max_dist <= 0.0:
         return InternalScores(intra=0.0, inter=0.0)
 
-    cluster_ids = np.unique(labels[labels >= 0])
-    if cluster_ids.size == 0:
+    # Sort the clustered objects by label once (stable, so each cluster
+    # keeps ascending object order) and permute the matrix once: every
+    # cluster pair is then a contiguous block.  Blocks are copied before
+    # reducing, so sums see the same C-ordered data as a per-pair gather.
+    order = np.argsort(labels, kind="stable")
+    order = order[labels[order] >= 0]
+    if order.size == 0:
         return InternalScores(intra=0.0, inter=0.0)
-
-    members = [np.flatnonzero(labels == c) for c in cluster_ids]
+    _, starts, sizes = np.unique(
+        labels[order], return_index=True, return_counts=True
+    )
+    spans = [
+        slice(a, a + size) for a, size in zip(starts.tolist(), sizes.tolist())
+    ]
+    permuted = distances[np.ix_(order, order)]
 
     # intra: average over clusters of the mean pairwise ÊD inside each.
     # Singleton clusters have an undefined (0/0) term in the paper's
@@ -97,11 +107,10 @@ def internal_scores(
     # zero — counting them as zero would let a clustering inflate Q by
     # shedding singletons.
     intra_terms = []
-    for idx in members:
-        size = idx.size
+    for span, size in zip(spans, sizes.tolist()):
         if size < 2:
             continue
-        block = distances[np.ix_(idx, idx)]
+        block = permuted[span, span].copy()
         off_diag = block.sum() - np.trace(block)
         intra_terms.append(off_diag / (size * (size - 1)))
     if intra_terms:
@@ -110,7 +119,7 @@ def internal_scores(
         intra = 0.0
 
     # inter: average over ordered cluster pairs of the mean cross ÊD.
-    k = len(members)
+    k = len(spans)
     if k < 2:
         inter = 0.0
     else:
@@ -119,8 +128,7 @@ def internal_scores(
             for b in range(k):
                 if a == b:
                     continue
-                block = distances[np.ix_(members[a], members[b])]
-                total += block.mean()
+                total += permuted[spans[a], spans[b]].copy().mean()
         inter = total / (k * (k - 1)) / max_dist
 
     return InternalScores(intra=float(np.clip(intra, 0.0, 1.0)),

@@ -51,7 +51,7 @@ def test_run_bench_quick_emits_schema_json(tmp_path):
     assert payload["machine"]["cpu_count"] == os.cpu_count()
     names = {entry["name"] for entry in payload["benchmarks"]}
     # The roster must cover sampling, restarts, density, every backend,
-    # and the hierarchical kernel.
+    # the hierarchical kernel and the relocation sweep.
     by_name = {entry["name"]: entry for entry in payload["benchmarks"]}
     assert by_name["sample_tensor_batched"]["speedup"] > 0
     assert by_name["ukmedoids_plane_shared"]["speedup"] > 0
@@ -69,9 +69,15 @@ def test_run_bench_quick_emits_schema_json(tmp_path):
         "store_aggregate_json",
         "vdbip_candidate_mask",
         "vdbip_candidate_mask_literal",
+        "ucpc_relocation",
+        "mmvar_relocation",
     } <= names
     assert by_name["store_aggregate_sqlite"]["speedup"] > 0
     assert by_name["vdbip_candidate_mask"]["speedup"] > 0
+    for name in ("ucpc_relocation", "mmvar_relocation"):
+        assert by_name[name]["speedup"] > 0
+        assert by_name[name]["plain_seconds"] > 0
+        assert 0.0 <= by_name[name]["skipped_frac"] <= 1.0
     assert all(entry["seconds"] > 0 for entry in payload["benchmarks"])
 
 

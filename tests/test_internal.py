@@ -118,3 +118,78 @@ class TestInternalScores:
         q_near = quality_score(near, np.array(near.labels))
         q_far = quality_score(far, np.array(far.labels))
         assert q_far > q_near
+
+
+def _per_pair_reference(labels, distances, noise_policy):
+    """The per-cluster-pair ``np.ix_`` loop that ``internal_scores``
+    replaced, kept verbatim as the exactness reference."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if noise_policy == "residual" and np.any(labels < 0):
+        labels = labels.copy()
+        labels[labels < 0] = labels.max() + 1
+    max_dist = float(distances.max())
+    cluster_ids = np.unique(labels[labels >= 0])
+    if max_dist <= 0.0 or cluster_ids.size == 0:
+        return 0.0, 0.0
+    members = [np.flatnonzero(labels == c) for c in cluster_ids]
+    intra_terms = []
+    for idx in members:
+        size = idx.size
+        if size < 2:
+            continue
+        block = distances[np.ix_(idx, idx)]
+        off_diag = block.sum() - np.trace(block)
+        intra_terms.append(off_diag / (size * (size - 1)))
+    intra = float(np.mean(intra_terms)) / max_dist if intra_terms else 0.0
+    k = len(members)
+    if k < 2:
+        inter = 0.0
+    else:
+        total = 0.0
+        for a in range(k):
+            for b in range(k):
+                if a != b:
+                    total += distances[np.ix_(members[a], members[b])].mean()
+        inter = total / (k * (k - 1)) / max_dist
+    return float(np.clip(intra, 0.0, 1.0)), float(np.clip(inter, 0.0, 1.0))
+
+
+class TestSortedBlocksExact:
+    """``internal_scores`` sorts the labels once and reduces contiguous
+    blocks; its scores must equal the per-pair gather bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def plane(self):
+        data = make_blobs_uncertain(n_objects=100, n_clusters=5, seed=3)
+        return data, pairwise_squared_expected_distances(data)
+
+    @pytest.mark.parametrize("noise_policy", ["residual", "exclude"])
+    def test_random_labelings(self, plane, noise_policy):
+        data, distances = plane
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            k = int(rng.integers(1, 27))
+            labels = rng.integers(0, k, size=len(data))
+            if trial % 3 == 0:
+                labels[rng.random(len(data)) < 0.15] = -1
+            if trial % 4 == 0:
+                labels[rng.integers(0, len(data))] = k  # a singleton
+            scores = internal_scores(data, labels, distances, noise_policy)
+            assert (scores.intra, scores.inter) == _per_pair_reference(
+                labels, distances, noise_policy
+            )
+
+    @pytest.mark.parametrize("noise_policy", ["residual", "exclude"])
+    def test_edge_labelings(self, plane, noise_policy):
+        data, distances = plane
+        n = len(data)
+        for labels in (
+            np.zeros(n, dtype=int),  # k = 1
+            np.arange(n),  # all singletons
+            np.where(np.arange(n) < 3, -1, 0),  # noise plus one cluster
+            np.full(n, -1),  # all noise
+        ):
+            scores = internal_scores(data, labels, distances, noise_policy)
+            assert (scores.intra, scores.inter) == _per_pair_reference(
+                labels, distances, noise_policy
+            )
